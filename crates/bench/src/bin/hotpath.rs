@@ -16,28 +16,22 @@
 //! *semantics*, not just speed). `--baseline` re-runs the matrix and
 //! prints per-cell speedups against a previous JSON.
 //!
-//! The `legacy_*` variants re-implement the pre-fused design in this
-//! binary — `contains` → `access` → `values.get` triple probe, a separate
-//! key→value hash map, and a `Box<dyn Policy>` callback per operation — so
-//! one binary measures the before/after of the slot-arena refactor
-//! forever, not just in the PR that landed it.
-//!
-//! The `batched_*` variants drive [`BatchTlb`], the software-pipelined
-//! engine (hash precompute → wide probe → arena prefetch → in-order
-//! apply). Their median paired ratios against the adjacent fused cells
-//! are written to the JSON as `hotpath_paired_ratio` gauges, and
-//! `--gate <floor>` turns those ratios into an exit code — see
-//! `atp_bench::gate`.
+//! The `full_*` variants drive [`Tlb`]'s scalar entry point, one
+//! lookup-or-insert per access. The `batched_*` variants drive its batch
+//! entry point, [`Tlb::access_or_fill_batch`] (speculative resolution
+//! cache → validated retire → fused slow lane). Their median paired
+//! ratios against the adjacent scalar cells are written to the JSON as
+//! `hotpath_paired_ratio` gauges, and `--gate <floor>` turns those ratios
+//! into an exit code — see `atp_bench::gate`.
 
 use std::time::Instant;
 
 use atp_bench::gate::{self, RatioRow};
-use atp_hash::FxHashMap;
 use atp_replacement::{
-    make_policy, AnyPolicy, CacheSim, Clock, Fifo, Lru, Policy, PolicyBuild, PolicyKind, Sieve,
+    AnyPolicy, CacheSim, Clock, Fifo, Lru, Policy, PolicyBuild, PolicyKind, Sieve,
 };
-use atp_tlb::{BatchTlb, SetAssocTlb, SplitTlb, Tlb, TwoLevelTlb};
-use atp_types::{VirtHugePage, VirtPage};
+use atp_tlb::{SetAssocTlb, SplitTlb, Tlb, TwoLevelTlb};
+use atp_types::{NoProf, VirtHugePage, VirtPage};
 use atp_workloads::{Graph500Trace, Sequential, Zipfian};
 
 /// Paper-default fully-associative TLB size (Cascade Lake L2 dTLB).
@@ -54,219 +48,6 @@ const HUGE: u64 = 512;
 /// streaming a giant trace array — which would add a uniform per-access
 /// cost to every variant and compress all ratios toward 1×.
 const TRACE_WINDOW: usize = 1 << 17;
-
-// ---------------------------------------------------------------------------
-// Legacy replica: the pre-fused TLB design, preserved for comparison.
-// ---------------------------------------------------------------------------
-
-/// Sentinel of the seed's `IndexList` (usize links).
-const LNIL: usize = usize::MAX;
-
-/// The seed's intrusive list, as shipped before the slot-arena refactor:
-/// `usize` links, explicit head/tail fields, and data-dependent "am I the
-/// head/tail?" branches in `remove` (the current `IndexList` uses `u32`
-/// links through a circular sentinel instead).
-struct LegacyList {
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    head: usize,
-    tail: usize,
-    len: usize,
-}
-
-impl LegacyList {
-    fn new(capacity: usize) -> Self {
-        Self {
-            prev: vec![LNIL; capacity],
-            next: vec![LNIL; capacity],
-            head: LNIL,
-            tail: LNIL,
-            len: 0,
-        }
-    }
-
-    fn back(&self) -> Option<usize> {
-        (self.tail != LNIL).then_some(self.tail)
-    }
-
-    fn push_front(&mut self, s: usize) {
-        self.prev[s] = LNIL;
-        self.next[s] = self.head;
-        if self.head != LNIL {
-            self.prev[self.head] = s;
-        } else {
-            self.tail = s;
-        }
-        self.head = s;
-        self.len += 1;
-    }
-
-    fn remove(&mut self, s: usize) {
-        let (p, n) = (self.prev[s], self.next[s]);
-        if p != LNIL {
-            self.next[p] = n;
-        } else {
-            self.head = n;
-        }
-        if n != LNIL {
-            self.prev[n] = p;
-        } else {
-            self.tail = p;
-        }
-        self.prev[s] = LNIL;
-        self.next[s] = LNIL;
-        self.len -= 1;
-    }
-
-    fn move_to_front(&mut self, s: usize) {
-        if self.head != s {
-            self.remove(s);
-            self.push_front(s);
-        }
-    }
-}
-
-/// The seed's LRU policy over [`LegacyList`], so the `legacy_full_lru`
-/// cells measure the genuinely pre-refactor hit path, not the current
-/// list internals behind the old probe structure.
-struct LegacyLru {
-    recency: LegacyList,
-}
-
-impl Policy for LegacyLru {
-    fn on_insert(&mut self, s: usize) {
-        self.recency.push_front(s);
-    }
-
-    fn on_hit(&mut self, s: usize) {
-        self.recency.move_to_front(s);
-    }
-
-    fn choose_victim(&mut self) -> usize {
-        self.recency.back().expect("choose_victim on empty cache")
-    }
-
-    fn on_remove(&mut self, s: usize) {
-        self.recency.remove(s);
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lru
-    }
-}
-
-/// The old keys-only cache sim: key→slot map + slot→key arena + boxed
-/// policy. No values — those lived in a second hash map in the TLB.
-struct LegacyCacheSim {
-    capacity: usize,
-    map: FxHashMap<VirtHugePage, usize>,
-    keys: Vec<Option<VirtHugePage>>,
-    free: Vec<usize>,
-    policy: Box<dyn Policy>,
-    hits: u64,
-}
-
-impl LegacyCacheSim {
-    fn new(capacity: usize, policy: Box<dyn Policy>) -> Self {
-        Self {
-            capacity,
-            map: FxHashMap::default(),
-            keys: vec![None; capacity],
-            free: (0..capacity).rev().collect(),
-            policy,
-            hits: 0,
-        }
-    }
-
-    fn contains(&self, k: &VirtHugePage) -> bool {
-        self.map.contains_key(k)
-    }
-
-    /// Hit path of the old `CacheSim::access`, reached only after the
-    /// caller's own `contains` probe.
-    fn access_resident(&mut self, k: VirtHugePage) {
-        let slot = *self.map.get(&k).expect("resident");
-        self.policy.on_hit(slot);
-        self.hits += 1;
-    }
-
-    fn insert_cold(&mut self, k: VirtHugePage) -> Option<VirtHugePage> {
-        let mut evicted = None;
-        if self.map.len() == self.capacity {
-            let victim_slot = self.policy.choose_victim();
-            let victim = self.keys[victim_slot].take().expect("occupied");
-            self.policy.on_remove(victim_slot);
-            self.map.remove(&victim);
-            self.free.push(victim_slot);
-            evicted = Some(victim);
-        }
-        let slot = self.free.pop().expect("free slot");
-        self.keys[slot] = Some(k);
-        self.map.insert(k, slot);
-        self.policy.on_insert(slot);
-        evicted
-    }
-}
-
-/// The old fully-associative TLB: residency sim + separate values map,
-/// with the triple-probe lookup (`contains` → `access` → `values.get`).
-/// Counter fields replicate the seed's `TlbStats` bookkeeping so the
-/// replica executes the same per-access work; only `hits` is read back.
-struct LegacyTlb {
-    sim: LegacyCacheSim,
-    values: FxHashMap<VirtHugePage, u64>,
-    hits: u64,
-    #[allow(dead_code)]
-    misses: u64,
-    #[allow(dead_code)]
-    inserts: u64,
-    #[allow(dead_code)]
-    evictions: u64,
-}
-
-impl LegacyTlb {
-    fn new(entries: u64, kind: PolicyKind, seed: u64) -> Self {
-        let cap = entries as usize;
-        // The headline comparison is LRU, so LRU gets the fully faithful
-        // seed policy (usize-link list); other kinds reuse the crate's
-        // policies behind the same boxed-dispatch triple-probe structure.
-        let policy: Box<dyn Policy> = match kind {
-            PolicyKind::Lru => Box::new(LegacyLru {
-                recency: LegacyList::new(cap),
-            }),
-            _ => make_policy(kind, cap, seed),
-        };
-        Self {
-            sim: LegacyCacheSim::new(cap, policy),
-            values: FxHashMap::default(),
-            hits: 0,
-            misses: 0,
-            inserts: 0,
-            evictions: 0,
-        }
-    }
-
-    fn lookup(&mut self, u: VirtHugePage) -> Option<&u64> {
-        if self.sim.contains(&u) {
-            self.sim.access_resident(u);
-            self.hits += 1;
-            self.values.get(&u)
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    fn insert(&mut self, u: VirtHugePage, value: u64) {
-        assert!(!self.sim.contains(&u), "insert of resident TLB entry");
-        self.inserts += 1;
-        if let Some(victim) = self.sim.insert_cold(u) {
-            self.evictions += 1;
-            self.values.remove(&victim);
-        }
-        self.values.insert(u, value);
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Variant drivers
@@ -291,21 +72,6 @@ impl<P: Policy> Driver for FullDriver<P> {
     }
     fn hits(&self) -> u64 {
         self.0.stats().hits
-    }
-}
-
-struct LegacyDriver(LegacyTlb);
-impl Driver for LegacyDriver {
-    fn pass(&mut self, trace: &[u64]) {
-        for &p in trace {
-            let u = VirtHugePage(p);
-            if self.0.lookup(u).is_none() {
-                self.0.insert(u, p);
-            }
-        }
-    }
-    fn hits(&self) -> u64 {
-        self.0.hits
     }
 }
 
@@ -367,18 +133,18 @@ impl<P: Policy> Driver for RawCacheDriver<P> {
     }
 }
 
-/// The batched engine: the whole trace is fed through
-/// `access_or_fill_batch_map` (speculative resolution cache + validated
-/// retire), monomorphized over the same policy as the fused cell it pairs
-/// with. Same per-access semantics as `FullDriver<P>` (pinned by the
-/// shared `hits` checksum), strictly less redundant work per access.
-struct BatchedDriver<P: Policy>(BatchTlb<u64, P>);
+/// The batch entry point: the whole trace is fed through
+/// `access_or_fill_batch` (speculative resolution cache + validated
+/// retire), monomorphized over the same policy as the scalar cell it
+/// pairs with. Same per-access semantics as `FullDriver<P>` (pinned by
+/// the shared `hits` checksum), strictly less redundant work per access.
+struct BatchedDriver<P: Policy>(Tlb<u64, P>);
 impl<P: Policy> Driver for BatchedDriver<P> {
     fn pass(&mut self, trace: &[u64]) {
         // Feed raw pages straight into the pipeline; the newtype wrap
         // happens per lane inside, with no staging copy out here.
         self.0
-            .access_or_fill_batch_map(trace, VirtHugePage, |u| u.0);
+            .access_or_fill_batch(trace, VirtHugePage, |u| u.0, NoProf);
     }
     fn hits(&self) -> u64 {
         self.0.stats().hits
@@ -391,11 +157,11 @@ impl<P: Policy> Driver for BatchedDriver<P> {
 /// cells exist to *measure the measurement*: their paired ratios against
 /// the unprofiled twins are written as non-gated info rows, so the cost
 /// of profiling-on is tracked without ever gating CI on it.
-struct ProfiledBatchedDriver<P: Policy>(BatchTlb<u64, P>, atp_obs::Profiler);
+struct ProfiledBatchedDriver<P: Policy>(Tlb<u64, P>, atp_obs::Profiler);
 impl<P: Policy> Driver for ProfiledBatchedDriver<P> {
     fn pass(&mut self, trace: &[u64]) {
         self.0
-            .access_or_fill_batch_map_prof(trace, VirtHugePage, |u| u.0, &mut self.1);
+            .access_or_fill_batch(trace, VirtHugePage, |u| u.0, &mut self.1);
     }
     fn hits(&self) -> u64 {
         self.0.stats().hits
@@ -414,30 +180,22 @@ fn variants() -> Vec<Variant> {
     fn any(kind: PolicyKind) -> Box<dyn Driver> {
         Box::new(FullDriver(Tlb::<u64, AnyPolicy>::new(TLB_ENTRIES, kind, 0)))
     }
-    fn legacy(kind: PolicyKind) -> Box<dyn Driver> {
-        Box::new(LegacyDriver(LegacyTlb::new(TLB_ENTRIES, kind, 0)))
-    }
     fn batched<P: Policy + PolicyBuild + 'static>() -> Box<dyn Driver> {
-        Box::new(BatchedDriver(BatchTlb::<u64, P>::monomorphic(
-            TLB_ENTRIES,
-            0,
-        )))
+        Box::new(BatchedDriver(Tlb::<u64, P>::monomorphic(TLB_ENTRIES, 0)))
     }
-    // Fused/legacy/batched groups are adjacent so each rep round
-    // measures the compared cells back-to-back — see
-    // `gate::median_paired_ratio`.
+    // Scalar/batched groups are adjacent so each rep round measures the
+    // compared cells back-to-back — see `gate::median_paired_ratio`.
     vec![
         ("full_lru_mono", Box::new(mono::<Lru>)),
-        ("legacy_full_lru", Box::new(|| legacy(PolicyKind::Lru))),
         (
             "batched_full_lru",
-            Box::new(|| Box::new(BatchedDriver(BatchTlb::lru(TLB_ENTRIES)))),
+            Box::new(|| Box::new(BatchedDriver(Tlb::lru(TLB_ENTRIES)))),
         ),
         (
             "batched_full_lru_prof",
             Box::new(|| {
                 Box::new(ProfiledBatchedDriver(
-                    BatchTlb::lru(TLB_ENTRIES),
+                    Tlb::lru(TLB_ENTRIES),
                     atp_obs::Profiler::new(),
                 ))
             }),
@@ -447,36 +205,23 @@ fn variants() -> Vec<Variant> {
             Box::new(|| Box::new(FullDriver(Tlb::<u64, Lru>::monomorphic(L1_TLB_ENTRIES, 0)))),
         ),
         (
-            "legacy_full_lru_l1",
-            Box::new(|| {
-                Box::new(LegacyDriver(LegacyTlb::new(
-                    L1_TLB_ENTRIES,
-                    PolicyKind::Lru,
-                    0,
-                )))
-            }),
-        ),
-        (
             "batched_full_lru_l1",
-            Box::new(|| Box::new(BatchedDriver(BatchTlb::lru(L1_TLB_ENTRIES)))),
+            Box::new(|| Box::new(BatchedDriver(Tlb::lru(L1_TLB_ENTRIES)))),
         ),
         (
             "batched_full_lru_l1_prof",
             Box::new(|| {
                 Box::new(ProfiledBatchedDriver(
-                    BatchTlb::lru(L1_TLB_ENTRIES),
+                    Tlb::lru(L1_TLB_ENTRIES),
                     atp_obs::Profiler::new(),
                 ))
             }),
         ),
         ("full_fifo_mono", Box::new(mono::<Fifo>)),
-        ("legacy_full_fifo", Box::new(|| legacy(PolicyKind::Fifo))),
         ("batched_full_fifo", Box::new(batched::<Fifo>)),
         ("full_clock_mono", Box::new(mono::<Clock>)),
-        ("legacy_full_clock", Box::new(|| legacy(PolicyKind::Clock))),
         ("batched_full_clock", Box::new(batched::<Clock>)),
         ("full_sieve_mono", Box::new(mono::<Sieve>)),
-        ("legacy_full_sieve", Box::new(|| legacy(PolicyKind::Sieve))),
         ("batched_full_sieve", Box::new(batched::<Sieve>)),
         ("full_lru_any", Box::new(|| any(PolicyKind::Lru))),
         ("full_fifo_any", Box::new(|| any(PolicyKind::Fifo))),
@@ -594,7 +339,7 @@ fn measure_matrix(
 ) -> Vec<Cell> {
     let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); variants.len() * traces.len()];
     let mut hits: Vec<u64> = vec![0; variants.len() * traces.len()];
-    // Traces outer, variants inner: adjacent variants (the fused/legacy
+    // Traces outer, variants inner: adjacent variants (the scalar/batched
     // pairs) are measured back-to-back within each rep round.
     for _ in 0..reps {
         for (ti, (_, trace)) in traces.iter().enumerate() {
@@ -968,29 +713,6 @@ fn main() {
             "  {:28} {:>12.0} acc/s  ({:6.2} ns/access, {} hits)",
             cell.id, cell.accesses_per_sec, cell.ns_per_access, cell.hits
         );
-    }
-
-    // Headline ratios: fused monomorphized LRU vs the legacy replica at
-    // both hardware sizes, paired per rep (each pair is adjacent in the
-    // matrix, so its two cells are measured back-to-back).
-    for (fused_name, legacy_name) in [
-        ("full_lru_mono", "legacy_full_lru"),
-        ("full_lru_mono_l1", "legacy_full_lru_l1"),
-    ] {
-        for (tname, _) in &traces {
-            let fused = cells
-                .iter()
-                .find(|c| c.variant == fused_name && &c.trace == tname);
-            let legacy = cells
-                .iter()
-                .find(|c| c.variant == legacy_name && &c.trace == tname);
-            if let (Some(f), Some(l)) = (fused, legacy) {
-                println!(
-                    "speedup {fused_name} vs {legacy_name} on {tname}: {:.2}x",
-                    gate::median_paired_ratio(&f.rep_times, &l.rep_times)
-                );
-            }
-        }
     }
 
     // Batched/fused paired ratios — the rows `--gate` checks and the

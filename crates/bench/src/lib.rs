@@ -10,7 +10,6 @@
 
 pub mod compare;
 pub mod gate;
-pub mod harness;
 
 use atp_memmgmt::classic::{ClassicConfig, ClassicMm};
 use atp_replacement::PolicyKind;

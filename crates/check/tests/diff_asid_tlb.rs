@@ -10,7 +10,7 @@
 
 use atp_check::oracles::LinearAsidTlb;
 use atp_check::{check, differential, ensure_eq, u64s, usizes, vecs, Gen};
-use atp_replacement::{AnyPolicy, PolicyKind};
+use atp_replacement::{AnyPolicy, PolicyKind, LANES};
 use atp_tlb::AsidTlb;
 use atp_types::{Asid, TaggedHugePage, VirtHugePage};
 
@@ -117,7 +117,25 @@ fn asid_tlb_any_policy_lru_matches_linear_oracle() {
     );
 }
 
-/// Drains a same-ASID run three ways — wide-probe batched, fused
+/// The tenant manager's lane-group drive: each [`LANES`]-wide group's
+/// leading hit run retires through `resolve_hit_run` → `retire_hit_run`,
+/// the rest replay per lane from the first full miss. Returns the hits.
+fn access_or_fill_lane_groups(tlb: &mut AsidTlb<u64>, asid: Asid, huges: &[VirtHugePage]) -> u64 {
+    let mut hits = 0u64;
+    for group in huges.chunks(LANES) {
+        let run = tlb.resolve_hit_run(asid, group);
+        tlb.retire_hit_run(&run);
+        hits += run.len() as u64;
+        for &u in &group[run.len()..] {
+            if tlb.access_or_fill(asid, u, || u.0 * 10) {
+                hits += 1;
+            }
+        }
+    }
+    hits
+}
+
+/// Drains a same-ASID run three ways — lane-group retire, fused
 /// sequential, linear oracle — and checks the hit counts agree.
 fn flush_wide(
     wide: &mut AsidTlb<u64>,
@@ -127,7 +145,7 @@ fn flush_wide(
     pending: &mut Vec<VirtHugePage>,
     step: usize,
 ) -> Result<(), String> {
-    let w = wide.access_or_fill_wide(asid, pending, |u| u.0 * 10);
+    let w = access_or_fill_lane_groups(wide, asid, pending);
     let mut f = 0u64;
     let mut o = 0u64;
     for &u in pending.iter() {
@@ -146,11 +164,11 @@ fn flush_wide(
 
 #[test]
 fn asid_tlb_wide_probe_matches_fused_path_and_linear_oracle() {
-    // The batched wide-probe path (`access_or_fill_wide`) must be
-    // bit-for-bit the fused per-access path — including the
-    // private/global hit split — and agree with the linear oracle on
-    // every membership decision, under invalidation/flush churn at
-    // every lane-group width.
+    // The lane-group retire (`resolve_hit_run` → `retire_hit_run`, then
+    // per-lane replay) must be bit-for-bit the fused per-access path —
+    // including the private/global hit split — and agree with the linear
+    // oracle on every membership decision, under invalidation/flush churn
+    // at every drain width.
     let gen = (usizes(1..=8), scripts());
     check(
         "asid_tlb_wide_matches_fused_and_oracle",

@@ -1,16 +1,16 @@
-//! Differential for the raw batched engine: `BatchTlb` (policy-generic,
-//! software-pipelined `access_or_fill_batch`) against the fused
-//! `Tlb<u64>` golden, for every replacement policy, over generated churn
-//! scripts of accesses and invalidations flushed at batch sizes
-//! {1, 8, 13, 4096}. Hits, the full counter block, and the resident set
-//! must stay identical at every flush point; divergences shrink to a
-//! minimal script. An `--ignored` sweep rechecks the same invariant at
+//! Differential for the batch entry point of `Tlb`
+//! (`access_or_fill_batch`: speculative resolution cache, validated
+//! retire) against its scalar path (`access_or_fill` on a twin `Tlb`),
+//! for every replacement policy, over generated churn scripts of accesses
+//! and invalidations flushed at batch sizes {1, 8, 13, 4096}. Hits, the
+//! full counter block, and the resident set must stay identical at every
+//! flush point; divergences shrink to a minimal script. An `--ignored` sweep rechecks the same invariant at
 //! production scale (1536 entries, long deterministic churn).
 
 use atp_check::{check_config, ensure_eq, from_fn, vecs, Config, CounterRng, Gen};
 use atp_replacement::{AnyPolicy, PolicyKind};
-use atp_tlb::{BatchTlb, Tlb};
-use atp_types::VirtHugePage;
+use atp_tlb::Tlb;
+use atp_types::{NoProf, VirtHugePage};
 
 const ENTRIES: u64 = 16;
 /// Page span ~3× capacity: plenty of hits, steady evictions.
@@ -48,16 +48,16 @@ fn diff_script(
     entries: u64,
     batch: usize,
 ) -> Result<(), String> {
-    let mut fast = BatchTlb::<u64, _>::new(entries, policy, 0);
+    let mut fast = Tlb::<u64, _>::new(entries, policy, 0);
     let mut gold = Tlb::<u64, _>::new(entries, policy, 0);
     let mut pending: Vec<VirtHugePage> = Vec::new();
     let mut step = 0usize;
-    let flush = |fast: &mut BatchTlb<u64, AnyPolicy>,
+    let flush = |fast: &mut Tlb<u64, AnyPolicy>,
                  gold: &mut Tlb<u64, AnyPolicy>,
                  pending: &mut Vec<VirtHugePage>,
                  step: usize|
      -> Result<(), String> {
-        let fast_hits = fast.access_or_fill_batch(pending, |u| u.0 * 3);
+        let fast_hits = fast.access_or_fill_batch(pending, |u| u, |u| u.0 * 3, NoProf);
         let mut gold_hits = 0u64;
         for &u in pending.iter() {
             if gold.access_or_fill(u, || u.0 * 3) {

@@ -1,5 +1,5 @@
 //! Differential for the flat open-addressing `SlotIndex` (the probe core
-//! under `CacheSim` and `BatchTlb`): against a `std` HashMap oracle over
+//! under `CacheSim` and `Tlb`): against a `std` HashMap oracle over
 //! generated insert/remove/lookup/touch churn, membership and key→slot
 //! resolution must agree after every op — including through the
 //! backward-shift deletions that keep probe chains compact.
@@ -66,7 +66,7 @@ fn slot_index_matches_a_hashmap_oracle_under_churn() {
         &ops_gen(),
         |ops| {
             let mut index = SlotIndex::with_capacity(CAPACITY);
-            // Slot arena mirroring how CacheSim/BatchTlb use the index:
+            // Slot arena mirroring how CacheSim and Tlb use the index:
             // the arena owns the keys, the index only resolves hashes.
             let mut arena: Vec<u64> = Vec::new();
             let mut free: Vec<u32> = Vec::new();

@@ -223,6 +223,10 @@ struct Common {
     seed: u64,
 }
 
+/// Parses and validates the [`COMMON_OPTS`]. The size checks here are
+/// the managers' constructor contracts (nonzero capacities, a
+/// power-of-two huge page no larger than memory), so a bad size exits 2
+/// with a message instead of reaching a library panic.
 fn common(args: &Args) -> Result<Common, ArgError> {
     let phys = args.u64_or("phys", 1 << 16)?;
     let virt = args.u64_or("virt", phys * 4)?;
@@ -231,11 +235,27 @@ fn common(args: &Args) -> Result<Common, ArgError> {
     if !(eps > 0.0 && eps < 1.0) {
         return Err(ArgError(format!("--epsilon must be in (0,1), got {eps}")));
     }
+    let tlb = args.u64_or("tlb", 1536)?;
+    let h = args.u64_or("h", 64)?;
+    if phys == 0 {
+        return Err(ArgError("--phys must be at least 1".into()));
+    }
+    if tlb == 0 {
+        return Err(ArgError("--tlb must be at least 1".into()));
+    }
+    if !h.is_power_of_two() {
+        return Err(ArgError(format!("--h must be a power of two, got {h}")));
+    }
+    if h > phys {
+        return Err(ArgError(format!(
+            "--h {h} exceeds --phys {phys}: a huge page must fit in memory"
+        )));
+    }
     Ok(Common {
         phys,
         virt,
-        tlb: args.u64_or("tlb", 1536)?,
-        h: args.u64_or("h", 64)?,
+        tlb,
+        h,
         accesses,
         warmup: args.u64_or("warmup", accesses)?,
         model: CostModel::new(eps),
@@ -1511,6 +1531,53 @@ mod tests {
         assert_eq!(crate::run(&argv(&["help"])), 0);
         assert_eq!(crate::run(&argv(&["bogus"])), 2);
         assert_eq!(crate::run(&[]), 2);
+    }
+
+    /// Exit code of `atp simulate --manager classic` plus `extra`.
+    fn simulate_classic_exit(extra: &[&str]) -> i32 {
+        let mut a = vec!["simulate", "--manager", "classic", "--accesses", "1k"];
+        a.extend_from_slice(extra);
+        crate::run(&argv(&a))
+    }
+
+    #[test]
+    fn zero_phys_exits_2() {
+        assert_eq!(simulate_classic_exit(&["--phys", "0"]), 2);
+    }
+
+    #[test]
+    fn zero_tlb_exits_2() {
+        assert_eq!(simulate_classic_exit(&["--tlb", "0"]), 2);
+    }
+
+    #[test]
+    fn zero_huge_page_exits_2() {
+        assert_eq!(simulate_classic_exit(&["--h", "0"]), 2);
+    }
+
+    #[test]
+    fn non_power_of_two_huge_page_exits_2() {
+        assert_eq!(simulate_classic_exit(&["--h", "3"]), 2);
+    }
+
+    #[test]
+    fn huge_page_larger_than_memory_exits_2() {
+        assert_eq!(simulate_classic_exit(&["--h", "128", "--phys", "64"]), 2);
+    }
+
+    #[test]
+    fn bad_sizes_exit_2_for_every_manager_and_subcommand() {
+        for mgr in ["classic", "decoupled", "sparse", "thp", "x", "y"] {
+            for bad in [["--phys", "0"], ["--tlb", "0"]] {
+                let mut a = vec!["simulate", "--manager", mgr, "--accesses", "1k"];
+                a.extend_from_slice(&bad);
+                assert_eq!(crate::run(&argv(&a)), 2, "{mgr} {bad:?}");
+            }
+        }
+        for cmd in ["sweep", "tenants", "multicore"] {
+            let a = [cmd, "--phys", "64", "--h", "128", "--accesses", "1k"];
+            assert_eq!(crate::run(&argv(&a)), 2, "{cmd}");
+        }
     }
 
     #[test]

@@ -315,18 +315,28 @@ struct Node {
     item: usize,
 }
 
+/// What one `no-panic-hotpath` walk found.
+#[derive(Default)]
+pub(crate) struct HotpathScan {
+    /// Panic-capable sites in reachable functions, by file index.
+    pub(crate) findings: Vec<(usize, Finding)>,
+    /// Whether any entry point resolved in this scan — when none did
+    /// (partial scans), allow-audit for this rule is meaningless and the
+    /// engine skips it.
+    pub(crate) resolved: bool,
+    /// Entries that named no function although the scan covered library
+    /// code of every `[hotpath] crates` crate: a renamed or deleted entry
+    /// point that would otherwise drop out of the audit silently. Always
+    /// empty on partial scans.
+    pub(crate) unresolved: Vec<String>,
+}
+
 /// `no-panic-hotpath`: walks the name-based call graph from the
 /// manifest's hot entry points (within the scoped crates) and flags
-/// panic-capable constructs in every reachable function body. The
-/// returned flag says whether any entry point resolved in this scan —
-/// when it did not (partial scans), allow-audit for this rule is
-/// meaningless and the engine skips it.
-pub(crate) fn no_panic_hotpath(
-    files: &[AnalyzedFile],
-    m: &LintManifest,
-) -> (Vec<(usize, Finding)>, bool) {
+/// panic-capable constructs in every reachable function body.
+pub(crate) fn no_panic_hotpath(files: &[AnalyzedFile], m: &LintManifest) -> HotpathScan {
     if m.hot_entries.is_empty() || m.hot_crates.is_empty() {
-        return (Vec::new(), false);
+        return HotpathScan::default();
     }
     // Function table over lib code of the scoped crates.
     let mut by_name: std::collections::BTreeMap<&str, Vec<Node>> =
@@ -350,20 +360,34 @@ pub(crate) fn no_panic_hotpath(
     // Seed with the configured entries ("Type::name" or bare "name").
     let mut queue: Vec<(Node, String)> = Vec::new();
     let mut visited: std::collections::BTreeSet<(usize, usize)> = std::collections::BTreeSet::new();
+    let mut unresolved = Vec::new();
     for entry in &m.hot_entries {
         let (qual, name) = match entry.split_once("::") {
             Some((t, n)) => (Some(t), n),
             None => (None, entry.as_str()),
         };
+        let mut named = false;
         for &n in by_name.get(name).map(|v| v.as_slice()).unwrap_or(&[]) {
             let f = &files[n.file].items.fns[n.item];
-            if (qual.is_none() || f.self_ty.as_deref() == qual) && visited.insert((n.file, n.item))
-            {
-                queue.push((n, entry.clone()));
+            if qual.is_none() || f.self_ty.as_deref() == qual {
+                named = true;
+                if visited.insert((n.file, n.item)) {
+                    queue.push((n, entry.clone()));
+                }
             }
         }
+        if !named {
+            unresolved.push(entry.clone());
+        }
     }
-    let entry_resolved = !queue.is_empty();
+    let resolved = !queue.is_empty();
+    let whole_scan = m
+        .hot_crates
+        .iter()
+        .all(|c| files.iter().any(|af| &af.crate_dir == c && in_scope(af)));
+    if !whole_scan {
+        unresolved.clear();
+    }
     let mut out = Vec::new();
     while let Some((node, entry)) = queue.pop() {
         let af = &files[node.file];
@@ -429,7 +453,11 @@ pub(crate) fn no_panic_hotpath(
             }
         }
     }
-    (out, entry_resolved)
+    HotpathScan {
+        findings: out,
+        resolved,
+        unresolved,
+    }
 }
 
 /// Scans one function body (`sig` range `o..=c`, minus `skip`ped nested
@@ -933,7 +961,7 @@ crates = ["sim"]
         prof_gate(&file(direct, "tlb", FileClass::Lib), &mut out);
         assert!(out.is_empty(), "{out:?}");
 
-        // The bound-bool shape from batch.rs, with nesting.
+        // The bound-bool shape of the Tlb batch loop, with nesting.
         let bound = "fn f<P: ProfSink>(p: &mut P) {\n\
                      let profiled = p.enabled();\n\
                      for i in 0..4 {\n  if profiled {\n    p.stage_op(StageOp::Probe, i);\n  }\n }\n}\n";
@@ -963,7 +991,8 @@ crates = ["sim"]
                    fn unrelated(&self) -> u64 { self.slots[0] }\n\
                    }\n";
         let files = vec![file(src, "replacement", FileClass::Lib)];
-        let (out, resolved) = no_panic_hotpath(&files, &manifest());
+        let scan = no_panic_hotpath(&files, &manifest());
+        let (out, resolved) = (scan.findings, scan.resolved);
         assert!(resolved, "entry must resolve");
         // `lane` is reachable and indexing fires there; `unrelated` is not
         // reachable (nothing calls it) — wait, `slots[0]`: index by
@@ -986,7 +1015,7 @@ crates = ["sim"]
                    }\n}\n";
         let files = vec![file(src, "replacement", FileClass::Lib)];
         let msgs: Vec<String> = no_panic_hotpath(&files, &manifest())
-            .0
+            .findings
             .into_iter()
             .map(|(_, f)| f.message)
             .collect();
@@ -995,6 +1024,37 @@ crates = ["sim"]
         assert!(msgs.iter().any(|m| m.contains("`/`")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("unwrap")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("indexing")), "{msgs:?}");
+    }
+
+    #[test]
+    fn hotpath_reports_entries_naming_no_function_on_whole_scans() {
+        let m = parse_manifest(
+            "[hotpath]\n\
+             entries = [\"CacheSim::access\", \"BatchTlb::access_or_fill_batch\", \"gone\"]\n\
+             crates = [\"replacement\", \"tlb\"]\n",
+        )
+        .expect("manifest");
+        let sim = "impl CacheSim { pub fn access(&mut self) -> u64 { 0 } }\n";
+        // `Tlb::access_or_fill_batch` exists, but the entry's qualifier
+        // names a deleted type: the entry must not count as resolved.
+        let tlb = "impl Tlb { pub fn access_or_fill_batch(&mut self) -> u64 { 0 } }\n";
+        let whole = vec![
+            file(sim, "replacement", FileClass::Lib),
+            file(tlb, "tlb", FileClass::Lib),
+        ];
+        let scan = no_panic_hotpath(&whole, &m);
+        assert!(scan.resolved, "CacheSim::access still resolves");
+        assert_eq!(scan.unresolved, ["BatchTlb::access_or_fill_batch", "gone"]);
+
+        // A partial scan (tlb not scanned, or only as test code) cannot
+        // tell a missing entry from an unscanned one: nothing reported.
+        let partial = vec![file(sim, "replacement", FileClass::Lib)];
+        assert!(no_panic_hotpath(&partial, &m).unresolved.is_empty());
+        let test_only = vec![
+            file(sim, "replacement", FileClass::Lib),
+            file(tlb, "tlb", FileClass::Test),
+        ];
+        assert!(no_panic_hotpath(&test_only, &m).unresolved.is_empty());
     }
 
     #[test]

@@ -169,7 +169,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "no-panic-hotpath",
-        summary: "no panic-capable constructs (indexing, unwrap/expect, panic-family macros, unchecked / and %) in functions reachable from the manifest's hot entry points",
+        summary: "no panic-capable constructs (indexing, unwrap/expect, panic-family macros, unchecked / and %) in functions reachable from the manifest's hot entry points; on a whole-workspace scan, each entry must name a function",
     },
     RuleInfo {
         name: "prof-gate",
@@ -733,10 +733,24 @@ pub fn analyze_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<(Vec<Fin
                 graph::prof_gate(af, &mut extra[i]);
             }
         }
-        let (hot, entry_resolved) = graph::no_panic_hotpath(&analyzed, m);
-        hot_audited = entry_resolved;
-        for (i, f) in hot {
+        let hot = graph::no_panic_hotpath(&analyzed, m);
+        hot_audited = hot.resolved;
+        for (i, f) in hot.findings {
             extra[i].push(f);
+        }
+        // Not suppressible: an entry point that names no function is a
+        // manifest error, not a site.
+        for entry in hot.unresolved {
+            findings.push(Finding {
+                rule: "no-panic-hotpath",
+                severity: Severity::Error,
+                path: "atp-lint.toml".to_string(),
+                line: m.hot_entries_line,
+                col: 1,
+                message: format!(
+                    "[hotpath] entry `{entry}` names no function in the hot crates — the panic audit would skip it"
+                ),
+            });
         }
         for (i, f) in graph::lock_order(&analyzed, m) {
             extra[i].push(f);

@@ -16,6 +16,9 @@ pub struct LintManifest {
     pub layering: Vec<(String, Vec<String>)>,
     /// `[hotpath] entries`: hot entry points, optionally `Type::`-qualified.
     pub hot_entries: Vec<String>,
+    /// 1-based manifest line of `[hotpath] entries` (0 when absent), where
+    /// an entry that names no function is reported.
+    pub hot_entries_line: u32,
     /// `[hotpath] crates`: crate dirs the reachability walk may enter.
     pub hot_crates: Vec<String>,
     /// `[prof-gate] crates`: crate dirs where ProfSink calls need guards.
@@ -97,7 +100,10 @@ pub fn parse_manifest(src: &str) -> Result<LintManifest, String> {
         };
         match (section.as_str(), key.as_str()) {
             ("layering", _) => m.layering.push((key, values)),
-            ("hotpath", "entries") => m.hot_entries = values,
+            ("hotpath", "entries") => {
+                m.hot_entries = values;
+                m.hot_entries_line = line_no as u32;
+            }
             ("hotpath", "crates") => m.hot_crates = values,
             ("prof-gate", "crates") => m.prof_crates = values,
             ("lock-order", "crates") => m.lock_crates = values,
@@ -140,6 +146,7 @@ crates = ["sim", "obs"]
         assert!(m.layering_covers("."));
         assert!(!m.layering_covers("sim"));
         assert_eq!(m.hot_entries, ["CacheSim::access"]);
+        assert_eq!(m.hot_entries_line, 9);
         assert_eq!(m.hot_crates, ["replacement"]);
         assert_eq!(m.prof_crates, ["tlb"]);
         assert_eq!(m.lock_crates, ["sim", "obs"]);

@@ -12,10 +12,9 @@
 //! `h ∈ {1, 2, 4, …, 1024}` regenerates Figure 1.
 
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
-use crate::pipeline::{Pipeline, Stages, TlbProbe, PREPARE_LANES};
+use crate::pipeline::{Pipeline, Stages, TlbProbe};
 use crate::traits::AccessReport;
-use atp_hash::{fx_hash, NO_SLOT};
-use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
+use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind, LANES};
 use atp_tlb::Tlb;
 use atp_types::{HugePageGeometry, VirtHugePage, VirtPage};
 
@@ -155,44 +154,28 @@ impl Stages for ClassicStages {
         }
     }
 
-    // One group step over the lane window: wide-probe RAM and TLB for
-    // every lane (their probe misses overlap), then retire the leading
-    // run that resolved in *both* — a pure hit takes no IO, evicts
-    // nothing, and emits no stage events, so applying the two hit paths
-    // per lane in access order (residency first, translate second, the
-    // staged order) is bit-for-bit the sequential outcome.
+    // One group step over the lane window: resolve it in RAM and in the
+    // TLB, then retire the leading run that resolved in *both* — a pure
+    // hit takes no IO, evicts nothing, and emits no stage events, so each
+    // structure taking its hits in lane order is bit-for-bit the
+    // sequential outcome.
     fn retire_batch(&mut self, addrs: &[VirtPage]) -> usize {
-        let n = addrs.len().min(PREPARE_LANES);
-        let mut ram_keys = [0u64; PREPARE_LANES];
-        let mut tlb_keys = [VirtHugePage(0); PREPARE_LANES];
-        let mut ram_hashes = [0u64; PREPARE_LANES];
-        let mut tlb_hashes = [0u64; PREPARE_LANES];
+        let n = addrs.len().min(LANES);
+        let mut ram_keys = [0u64; LANES];
+        let mut tlb_keys = [VirtHugePage(0); LANES];
         for i in 0..n {
             let u = self.geom.huge_of(addrs[i]);
             ram_keys[i] = u.id();
             tlb_keys[i] = u;
-            ram_hashes[i] = fx_hash(&ram_keys[i]);
-            tlb_hashes[i] = fx_hash(&tlb_keys[i]);
         }
-        let mut ram_slots = [NO_SLOT; PREPARE_LANES];
-        let mut tlb_slots = [NO_SLOT; PREPARE_LANES];
-        self.ram
-            .probe_wide(&ram_hashes[..n], &ram_keys[..n], &mut ram_slots[..n]);
-        self.tlb
-            .probe_wide(&tlb_hashes[..n], &tlb_keys[..n], &mut tlb_slots[..n]);
-        let mut run = 0usize;
-        while run < n && ram_slots[run] != NO_SLOT && tlb_slots[run] != NO_SLOT {
-            run += 1;
-        }
-        for i in 0..run {
-            self.ram.touch_slot(ram_slots[i]);
-            self.tlb.touch_slot(tlb_slots[i]);
-        }
-        for i in 0..run {
-            self.ram.apply_hit(ram_slots[i]);
-            self.tlb.apply_hit(tlb_slots[i]);
-        }
-        run
+        // The TLB only needs resolving where RAM hits, so its run is the
+        // shorter one.
+        let mut ram = self.ram.resolve_hit_run(&ram_keys[..n]);
+        let tlb = self.tlb.resolve_hit_run(&tlb_keys[..ram.len()]);
+        ram.truncate(tlb.len());
+        self.ram.retire_hit_run(&ram);
+        self.tlb.retire_hit_run(&tlb);
+        tlb.len()
     }
 }
 

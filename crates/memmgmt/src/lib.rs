@@ -52,7 +52,7 @@ pub use observe::{
     SimObserver, StageCounters, TlbEvent,
 };
 pub use only::{PagingOnlyMm, VirtualOnlyMm};
-pub use pipeline::{Pipeline, Stages, TlbProbe, PREPARE_LANES};
+pub use pipeline::{Pipeline, Stages, TlbProbe};
 pub use sparse::{SparseConfig, SparseDecoupledMm};
 pub use tenancy::{TenantArena, TenantManager, TenantMm, TenantMmConfig};
 pub use thp::{ThpConfig, ThpMm, ThpStats};

@@ -12,36 +12,10 @@
 //! stage.
 
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
-use crate::pipeline::{Pipeline, Stages, TlbProbe, PREPARE_LANES};
+use crate::pipeline::{Pipeline, Stages, TlbProbe};
 use crate::traits::AccessReport;
-use atp_hash::{fx_hash, NO_SLOT};
-use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
+use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind, LANES};
 use atp_types::{HugePageGeometry, VirtPage};
-
-/// Wide-probes `sim` for up to [`PREPARE_LANES`] keys and applies the
-/// leading run that resolved as hits, in access order. Shared by the
-/// single-cache managers `X` and `Y`, whose pure-hit path is exactly one
-/// cache hit with no stage events.
-fn retire_hit_run(sim: &mut CacheSim<u64, AnyPolicy>, keys: &[u64]) -> usize {
-    let n = keys.len().min(PREPARE_LANES);
-    let mut hashes = [0u64; PREPARE_LANES];
-    for i in 0..n {
-        hashes[i] = fx_hash(&keys[i]);
-    }
-    let mut slots = [NO_SLOT; PREPARE_LANES];
-    sim.probe_wide(&hashes[..n], &keys[..n], &mut slots[..n]);
-    let mut run = 0usize;
-    while run < n && slots[run] != NO_SLOT {
-        run += 1;
-    }
-    for &s in &slots[..run] {
-        sim.touch_slot(s);
-    }
-    for &s in &slots[..run] {
-        sim.apply_hit(s);
-    }
-    run
-}
 
 /// Stage state of `X`: a TLB over size-`hmax` huge pages, nothing else.
 #[derive(Debug)]
@@ -103,13 +77,16 @@ impl Stages for VirtualOnlyStages {
         }
     }
 
+    // The pure-hit path is exactly one TLB hit with no stage events.
     fn retire_batch(&mut self, addrs: &[VirtPage]) -> usize {
-        let n = addrs.len().min(PREPARE_LANES);
-        let mut keys = [0u64; PREPARE_LANES];
+        let n = addrs.len().min(LANES);
+        let mut keys = [0u64; LANES];
         for i in 0..n {
             keys[i] = self.geom.huge_of(addrs[i]).id();
         }
-        retire_hit_run(&mut self.tlb, &keys[..n])
+        let run = self.tlb.resolve_hit_run(&keys[..n]);
+        self.tlb.retire_hit_run(&run);
+        run.len()
     }
 }
 
@@ -185,13 +162,16 @@ impl Stages for PagingOnlyStages {
         }
     }
 
+    // The pure-hit path is exactly one RAM hit with no stage events.
     fn retire_batch(&mut self, addrs: &[VirtPage]) -> usize {
-        let n = addrs.len().min(PREPARE_LANES);
-        let mut keys = [0u64; PREPARE_LANES];
+        let n = addrs.len().min(LANES);
+        let mut keys = [0u64; LANES];
         for i in 0..n {
             keys[i] = addrs[i].id();
         }
-        retire_hit_run(&mut self.ram, &keys[..n])
+        let run = self.ram.resolve_hit_run(&keys[..n]);
+        self.ram.retire_hit_run(&run);
+        run.len()
     }
 }
 

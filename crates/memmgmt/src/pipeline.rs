@@ -22,7 +22,8 @@
 
 use crate::observe::{NoopObserver, SimObserver, TlbEvent};
 use crate::traits::{tally, AccessReport, MemoryManager};
-use atp_types::{Costs, ProfSink, StageOp, VirtPage};
+use atp_replacement::LANES;
+use atp_types::{Costs, NoProf, ProfSink, StageOp, VirtPage};
 
 /// Outcome of the TLB stage for one access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,22 +100,19 @@ pub trait Stages {
     /// access order, and returns how long that run is. The remaining
     /// lanes replay through the staged path.
     ///
-    /// Implementations typically wide-probe their caches over the whole
-    /// lane group (overlapping the probe misses), then retire the prefix
-    /// whose lanes resolved everywhere. Stopping at the first non-hit is
-    /// what keeps this bit-for-bit equal to sequential retirement: hits
-    /// never change membership, so the group's probe resolutions stay
-    /// valid exactly until the first lane that must mutate. Default: 0
-    /// (every lane replays; no fast path).
+    /// Implementations resolve the lane group in their caches
+    /// (`CacheSim::resolve_hit_run`, which wide-probes the group so the
+    /// probe misses overlap; a later cache only over the earlier one's
+    /// run), truncate the runs to the shortest, and retire them
+    /// (`CacheSim::retire_hit_run`). Stopping at the first
+    /// non-hit is what keeps this bit-for-bit equal to sequential
+    /// retirement: hits never change membership, so the group's probe
+    /// resolutions stay valid exactly until the first lane that must
+    /// mutate. Default: 0 (every lane replays; no fast path).
     fn retire_batch(&mut self, _addrs: &[VirtPage]) -> usize {
         0
     }
 }
-
-/// Width of the [`Pipeline::access_batch`] prefetch window: addresses are
-/// prepared this many ahead so the touched lines are still resident when
-/// their access retires.
-pub const PREPARE_LANES: usize = 16;
 
 /// A staged, observable memory manager: [`Stages`] + [`SimObserver`] +
 /// the shared cost tally.
@@ -160,6 +158,57 @@ impl<S: Stages, O: SimObserver> Pipeline<S, O> {
     /// Consumes the pipeline, returning the observer.
     pub fn into_observer(self) -> O {
         self.observer
+    }
+
+    /// The one body of [`MemoryManager::access_batch`] and
+    /// [`MemoryManager::access_batch_profiled`]: for each [`LANES`]-wide
+    /// window, map the addresses, let the stages warm their probe lines
+    /// ([`Stages::prepare_batch`], a `&self` hook that cannot change
+    /// outcomes), retire the leading pure-hit run in one group step
+    /// ([`Stages::retire_batch`]), and replay the rest in order through
+    /// the normal staged path. Bit-for-bit equivalent to per-access
+    /// [`MemoryManager::access`], including the observer event stream: a
+    /// pure hit emits no stage events either way, so the fast path
+    /// reproduces the pipeline-level `Hit` + access report verbatim.
+    ///
+    /// `prof` receives, per window, the fast-path occupancy and the
+    /// per-stage op counts (every lane is prepared; retired lanes skip
+    /// the stage walk; replayed lanes run all three stages). With
+    /// [`NoProf`] the accounting folds away.
+    fn drive_batch<PS: ProfSink>(&mut self, vs: &[VirtPage], mut prof: PS) {
+        let mut mapped = [VirtPage(0); LANES];
+        let profiled = prof.enabled();
+        for sub in vs.chunks(LANES) {
+            for (i, &v) in sub.iter().enumerate() {
+                mapped[i] = self.stages.map_addr(v);
+            }
+            self.stages.prepare_batch(&mapped[..sub.len()]);
+            let retired = self.stages.retire_batch(&mapped[..sub.len()]);
+            debug_assert!(retired <= sub.len(), "retired more lanes than given");
+            if profiled {
+                prof.lane_occupancy(retired as u64);
+                prof.stage_op(StageOp::Prepare, sub.len() as u64);
+                if retired > 0 {
+                    prof.stage_op(StageOp::RetireFast, retired as u64);
+                }
+                let replayed = (sub.len() - retired) as u64;
+                if replayed > 0 {
+                    prof.stage_op(StageOp::Tlb, replayed);
+                    prof.stage_op(StageOp::Residency, replayed);
+                    prof.stage_op(StageOp::Translate, replayed);
+                }
+            }
+            for &v in &sub[..retired] {
+                // The per-access epilogue of a pure hit: `report` stays at
+                // its default (no miss, no IOs, no decode miss).
+                self.observer.on_tlb_event(TlbEvent::Hit);
+                tally(&mut self.costs, AccessReport::default());
+                self.observer.on_access(v, AccessReport::default());
+            }
+            for &v in &sub[retired..] {
+                self.access(v);
+            }
+        }
     }
 }
 
@@ -213,74 +262,17 @@ impl<S: Stages, O: SimObserver> MemoryManager for Pipeline<S, O> {
         self.observer.on_batch_boundary(len);
     }
 
-    /// Software-pipelined batch drive: for each [`PREPARE_LANES`]-wide
-    /// window, map the addresses, let the stages warm their probe lines
-    /// ([`Stages::prepare_batch`], a `&self` hook that cannot change
-    /// outcomes), retire the leading pure-hit run in one group step
-    /// ([`Stages::retire_batch`]), and replay the rest in order through
-    /// the normal staged path. Bit-for-bit equivalent to per-access
-    /// [`Self::access`], including the observer event stream: a pure hit
-    /// emits no stage events either way, so the fast path reproduces the
-    /// pipeline-level `Hit` + access report verbatim.
+    /// Software-pipelined batch drive: retires each lane group's leading
+    /// pure-hit run in one step and replays the rest; bit-for-bit equal
+    /// to per-access [`Self::access`], observer event stream included.
     fn access_batch(&mut self, vs: &[VirtPage]) {
-        let mut mapped = [VirtPage(0); PREPARE_LANES];
-        for sub in vs.chunks(PREPARE_LANES) {
-            for (i, &v) in sub.iter().enumerate() {
-                mapped[i] = self.stages.map_addr(v);
-            }
-            self.stages.prepare_batch(&mapped[..sub.len()]);
-            let retired = self.stages.retire_batch(&mapped[..sub.len()]);
-            debug_assert!(retired <= sub.len(), "retired more lanes than given");
-            for &v in &sub[..retired] {
-                // The per-access epilogue of a pure hit: `report` stays at
-                // its default (no miss, no IOs, no decode miss).
-                self.observer.on_tlb_event(TlbEvent::Hit);
-                tally(&mut self.costs, AccessReport::default());
-                self.observer.on_access(v, AccessReport::default());
-            }
-            for &v in &sub[retired..] {
-                self.access(v);
-            }
-        }
+        self.drive_batch(vs, NoProf);
     }
 
-    /// [`Self::access_batch`] with lane-group accounting: per
-    /// [`PREPARE_LANES`] window it reports the fast-path occupancy and the
-    /// per-stage op counts (every lane is prepared; retired lanes skip the
-    /// stage walk; replayed lanes run all three stages). Outcomes, costs,
-    /// and the observer event stream are identical to the unprofiled path.
+    /// [`Self::access_batch`] with lane-group accounting into `prof`;
+    /// outcomes, costs, and the observer event stream are identical.
     fn access_batch_profiled(&mut self, vs: &[VirtPage], prof: &mut dyn ProfSink) {
-        let mut mapped = [VirtPage(0); PREPARE_LANES];
-        let profiled = prof.enabled();
-        for sub in vs.chunks(PREPARE_LANES) {
-            for (i, &v) in sub.iter().enumerate() {
-                mapped[i] = self.stages.map_addr(v);
-            }
-            self.stages.prepare_batch(&mapped[..sub.len()]);
-            let retired = self.stages.retire_batch(&mapped[..sub.len()]);
-            debug_assert!(retired <= sub.len(), "retired more lanes than given");
-            if profiled {
-                prof.lane_occupancy(retired as u64);
-                prof.stage_op(StageOp::Prepare, sub.len() as u64);
-                if retired > 0 {
-                    prof.stage_op(StageOp::RetireFast, retired as u64);
-                }
-                let replayed = (sub.len() - retired) as u64;
-                if replayed > 0 {
-                    prof.stage_op(StageOp::Tlb, replayed);
-                    prof.stage_op(StageOp::Residency, replayed);
-                    prof.stage_op(StageOp::Translate, replayed);
-                }
-            }
-            for &v in &sub[..retired] {
-                self.observer.on_tlb_event(TlbEvent::Hit);
-                tally(&mut self.costs, AccessReport::default());
-                self.observer.on_access(v, AccessReport::default());
-            }
-            for &v in &sub[retired..] {
-                self.access(v);
-            }
-        }
+        self.drive_batch(vs, prof);
     }
 }
 

@@ -21,10 +21,9 @@
 //! context-switch-aware driver runs against.
 
 use crate::observe::{EvictionEvent, NoopObserver, SimObserver, TlbEvent};
-use crate::pipeline::PREPARE_LANES;
 use crate::traits::{tally, AccessReport, MemoryManager};
-use atp_hash::{fx_hash, FxHashMap, NO_SLOT};
-use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
+use atp_hash::FxHashMap;
+use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind, LANES};
 use atp_tlb::AsidTlb;
 use atp_types::{Asid, Costs, HugePageGeometry, TaggedHugePage, VirtHugePage, VirtPage};
 
@@ -400,60 +399,38 @@ impl<O: SimObserver> TenantManager for TenantMm<O> {
         self.observer.on_batch_boundary(len);
     }
 
-    // Lane-group fast path: wide-probe the shared RAM (tagged keys) and
-    // the ASID TLB (private + global keys) for the whole group, then
-    // retire the leading run that hit *both* — a pure hit takes no IO,
-    // evicts nothing, shoots down nothing, and emits no stage events, so
-    // applying the two hit paths per lane in access order (RAM first,
-    // TLB second) is bit-for-bit the sequential outcome. Lanes from the
+    // Lane-group fast path: resolve the group in the shared RAM (tagged
+    // keys) and the ASID TLB (private + global keys), then retire the
+    // leading run that hit *both* — a pure hit takes no IO, evicts
+    // nothing, shoots down nothing, and emits no stage events, so each
+    // structure taking its hits in lane order, then the per-lane
+    // epilogue, is bit-for-bit the sequential outcome. Lanes from the
     // first non-hit replay through [`TenantManager::access`].
     fn access_batch(&mut self, asid: Asid, vs: &[VirtPage]) {
-        for sub in vs.chunks(PREPARE_LANES) {
+        for sub in vs.chunks(LANES) {
             let n = sub.len();
-            let mut huges = [VirtHugePage(0); PREPARE_LANES];
-            let mut ram_keys = [TaggedHugePage::global(VirtHugePage(0)); PREPARE_LANES];
-            let mut ram_hashes = [0u64; PREPARE_LANES];
+            let mut huges = [VirtHugePage(0); LANES];
+            let mut ram_keys = [TaggedHugePage::global(VirtHugePage(0)); LANES];
             for i in 0..n {
                 huges[i] = self.geom.huge_of(sub[i]);
                 ram_keys[i] = TaggedHugePage::new(asid, huges[i]);
-                ram_hashes[i] = fx_hash(&ram_keys[i]);
             }
-            let mut ram_slots = [NO_SLOT; PREPARE_LANES];
-            self.ram
-                .probe_wide(&ram_hashes[..n], &ram_keys[..n], &mut ram_slots[..n]);
-            let mut private_slots = [NO_SLOT; PREPARE_LANES];
-            let mut global_slots = [NO_SLOT; PREPARE_LANES];
-            self.tlb.probe_wide(
-                asid,
-                &huges[..n],
-                &mut private_slots[..n],
-                &mut global_slots[..n],
-            );
-            let mut run = 0usize;
-            while run < n
-                && ram_slots[run] != NO_SLOT
-                && (private_slots[run] != NO_SLOT || global_slots[run] != NO_SLOT)
-            {
-                run += 1;
-            }
-            for i in 0..run {
-                self.ram.touch_slot(ram_slots[i]);
-                self.tlb.touch_slot(if private_slots[i] != NO_SLOT {
-                    private_slots[i]
-                } else {
-                    global_slots[i]
-                });
-            }
-            for i in 0..run {
-                self.ram.apply_hit(ram_slots[i]);
-                self.tlb.apply_hit(private_slots[i], global_slots[i]);
+            // The TLB only needs resolving where RAM hits, so its run is
+            // the shorter one.
+            let mut ram = self.ram.resolve_hit_run(&ram_keys[..n]);
+            let tlb = self.tlb.resolve_hit_run(asid, &huges[..ram.len()]);
+            let run = tlb.len();
+            ram.truncate(run);
+            self.ram.retire_hit_run(&ram);
+            self.tlb.retire_hit_run(&tlb);
+            for &v in &sub[..run] {
                 self.observer.on_tlb_event(TlbEvent::Hit);
                 tally(&mut self.costs, AccessReport::default());
                 tally(
                     self.per_tenant.entry(asid.0).or_default(),
                     AccessReport::default(),
                 );
-                self.observer.on_access(sub[i], AccessReport::default());
+                self.observer.on_access(v, AccessReport::default());
             }
             for &v in &sub[run..] {
                 self.access(asid, v);

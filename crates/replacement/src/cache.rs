@@ -44,6 +44,82 @@ impl<K> AccessResult<K> {
     }
 }
 
+/// Lane-group width of the batched retire paths: [`CacheSim::resolve_hit_run`]
+/// resolves at most this many lanes per call, and the manager pipelines
+/// stage their batches in groups of this size.
+pub const LANES: usize = 16;
+
+// Lane bitmasks (see [`HitRun::or_fallback`]) are `u32`.
+const _: () = assert!(LANES < 32);
+
+/// One lane group's slot resolutions and the length of its leading hit
+/// run, produced by [`CacheSim::resolve_hit_run`] and consumed by
+/// [`CacheSim::retire_hit_run`].
+///
+/// A manager that must hit in several structures resolves the group in
+/// the first, only that run's lanes in the next (so each run is no longer
+/// than the one before), [`truncates`](HitRun::truncate) the earlier runs
+/// to the last, and retires them one structure after another: each
+/// structure then sees exactly the hits of the sequential path, in lane
+/// order.
+#[derive(Clone, Copy, Debug)]
+pub struct HitRun {
+    /// Per-lane slot, or [`NO_SLOT`] (also past the group's last lane).
+    slots: [u32; LANES],
+    /// Leading lanes whose slot resolved.
+    len: usize,
+}
+
+impl HitRun {
+    /// Lanes in the leading hit run.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the group's first lane missed.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Shortens the run to at most `len` lanes.
+    #[inline]
+    pub fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+
+    /// Resolves each lane this run missed from `fallback` — the same
+    /// group resolved under each lane's second-choice key in the same
+    /// structure (an ASID-tagged TLB's global entry behind the private
+    /// one) — and re-derives the leading run. Returns the bitmask of lanes
+    /// that took the fallback.
+    #[inline]
+    pub fn or_fallback(&mut self, fallback: &HitRun) -> u32 {
+        let mut taken = 0u32;
+        for (i, (s, &f)) in self.slots.iter_mut().zip(&fallback.slots).enumerate() {
+            if *s == NO_SLOT && f != NO_SLOT {
+                *s = f;
+                taken |= 1 << i;
+            }
+        }
+        self.len = leading_run(&self.slots);
+        taken
+    }
+
+    /// The run's slots, in lane order.
+    #[inline]
+    fn slots(&self) -> &[u32] {
+        self.slots.get(..self.len).unwrap_or(&[])
+    }
+}
+
+/// Length of the leading run of resolved lanes.
+#[inline]
+fn leading_run(slots: &[u32; LANES]) -> usize {
+    slots.iter().take_while(|&&s| s != NO_SLOT).count()
+}
+
 /// A capacity-bounded cache over keys `K` (optionally carrying a value `V`
 /// per entry), with replacement delegated to a [`Policy`].
 ///
@@ -194,51 +270,63 @@ impl<K: Eq + Hash + Copy, P: Policy, V> CacheSim<K, P, V> {
         self.index.touch(fx_hash(k));
     }
 
-    /// Wide probe over a lane group: resolves key `ks[i]` (whose Fx hash
-    /// the caller precomputed into `hs[i]`) to its slot id in `out[i]`,
-    /// or [`NO_SLOT`] if absent. Pure reads — policy state, counters, and
-    /// membership are untouched — so the resolutions stay valid until the
-    /// next membership mutation (insert, eviction, removal). Hits never
-    /// mutate membership, which is what lets a batched engine resolve a
-    /// whole lane group up front and then retire the leading hit prefix
-    /// through [`CacheSim::apply_hit`] in access order.
-    ///
-    /// # Panics
-    /// Panics if the lane slices have different lengths.
+    /// Pure-read step of the lane-group retire: hashes and wide-probes
+    /// the first [`LANES`] keys of `keys` (their probe-line misses
+    /// overlap), prefetches the policy metadata of the leading run that
+    /// resolved, and returns every lane's resolution plus that run's
+    /// length. Policy state, counters, and membership are untouched, so
+    /// the resolutions stay valid until the next membership mutation
+    /// (insert, eviction, removal). Hits never mutate membership, which is
+    /// what lets a batched manager resolve a whole lane group up front —
+    /// in every structure it must hit, so all their prefetches are in
+    /// flight together — and then retire the leading hit run through
+    /// [`CacheSim::retire_hit_run`] in access order.
     #[inline]
-    pub fn probe_wide(&self, hs: &[u64], ks: &[K], out: &mut [u32]) {
-        assert_eq!(hs.len(), ks.len(), "unpaired wide-probe lanes");
+    pub fn resolve_hit_run(&self, keys: &[K]) -> HitRun {
+        let keys = keys.get(..LANES).unwrap_or(keys);
+        let n = keys.len();
+        let mut hashes = [0u64; LANES];
+        for (h, k) in hashes.iter_mut().zip(keys) {
+            *h = fx_hash(k);
+        }
+        let mut run = HitRun {
+            slots: [NO_SLOT; LANES],
+            len: 0,
+        };
         let arena = &self.keys;
-        self.index.get_wide(hs, out, |lane, s| {
-            arena[s as usize].as_ref() == Some(&ks[lane])
-        });
+        self.index
+            .get_wide(&hashes[..n], &mut run.slots[..n], |lane, s| {
+                arena[s as usize].as_ref() == Some(&keys[lane])
+            });
+        run.len = leading_run(&run.slots);
+        for &s in run.slots() {
+            self.touch_slot(s);
+        }
+        run
     }
 
-    /// Retires one hit lane resolved by [`CacheSim::probe_wide`]: exactly
-    /// the hit path of [`CacheSim::access_if_present`] (policy refresh +
-    /// hit counter + value), skipping the probe the wide stage already
-    /// performed. `slot` must be a live resolution — i.e. no membership
-    /// mutation has happened since the probe (or the caller revalidated it
-    /// through [`CacheSim::slot_holds`]).
+    /// Apply step of the lane-group retire: retires a run resolved by
+    /// [`CacheSim::resolve_hit_run`] (possibly truncated) in lane order,
+    /// each lane exactly the hit path of [`CacheSim::access_if_present`]
+    /// (policy refresh + hit counter), minus the probe. No membership
+    /// mutation may happen between the two steps.
     #[inline]
-    pub fn apply_hit(&mut self, slot: u32) -> &V {
-        debug_assert_ne!(slot, NO_SLOT, "apply_hit on a missed lane");
-        self.policy.on_hit(slot as SlotId);
-        self.hits += 1;
-        match &self.vals[slot as usize] {
-            Some(v) => v,
-            None => unreachable!("mapped slot occupied"),
+    pub fn retire_hit_run(&mut self, run: &HitRun) {
+        for &s in run.slots() {
+            self.apply_hit_counted(s);
         }
     }
 
-    /// [`CacheSim::apply_hit`] for callers that only count: policy refresh
-    /// and hit counter without reading the value arena, so batch retire
-    /// loops that report a hit total never drag value lines through the
-    /// cache. Identical observable behaviour to `apply_hit` (the value
-    /// read is side-effect-free).
+    /// Retires one hit on a resolved `slot`: the hit path of
+    /// [`CacheSim::access_if_present`] (policy refresh + hit counter)
+    /// without the probe and without reading the value arena, so batch
+    /// retire loops that report a hit total never drag value lines
+    /// through the cache. `slot` must be a live resolution — no
+    /// membership mutation since it was resolved, or revalidated through
+    /// [`CacheSim::slot_holds`].
     #[inline]
     pub fn apply_hit_counted(&mut self, slot: u32) {
-        debug_assert_ne!(slot, NO_SLOT, "apply_hit on a missed lane");
+        debug_assert_ne!(slot, NO_SLOT, "hit retired on a missed lane");
         self.policy.on_hit(slot as SlotId);
         self.hits += 1;
     }
@@ -337,13 +425,14 @@ impl<K: Eq + Hash + Copy, P: Policy, V> CacheSim<K, P, V> {
         (slot, evicted)
     }
 
-    /// Prefetches the policy's metadata lines for a resolved slot.
-    /// Semantically a no-op; kept for pipeline experiments (the production
-    /// batch engine found forced metadata reads cost more than the
-    /// prefetch bought on cache-resident structures and no longer calls
-    /// it).
+    /// Prefetches the policy's metadata lines for a resolved slot — the
+    /// last part of [`CacheSim::resolve_hit_run`], which the managers'
+    /// lane-group retire (`X`, `Y`, the classic simulator, the ASID-tagged
+    /// tenant manager) runs. The speculative `Tlb` batch loop does not
+    /// call it: on its cache-resident structures the forced metadata
+    /// reads cost more than the prefetch bought. Semantically a no-op.
     #[inline]
-    pub fn touch_slot(&self, slot: u32) {
+    fn touch_slot(&self, slot: u32) {
         self.policy.touch(slot as SlotId);
     }
 
@@ -681,6 +770,48 @@ mod tests {
         let h9 = fx_hash(&9u64);
         assert!(c.probe_len_hashed(h9, &9) >= 1);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn lane_group_retire_is_the_sequential_hit_path() {
+        let mut c = lru_cache(4);
+        let mut gold = lru_cache(4);
+        for k in 0..4u64 {
+            c.access(k);
+            gold.access(k);
+        }
+        // Lanes 0..3 resolve; lane 3 misses and ends the run even though
+        // lane 4 would hit.
+        let run = c.resolve_hit_run(&[2, 0, 2, 9, 1]);
+        assert_eq!(run.len(), 3);
+        assert_eq!((c.hits(), c.misses()), (0, 4), "resolution is a pure read");
+        c.retire_hit_run(&run);
+        for k in [2, 0, 2] {
+            gold.access(k);
+        }
+        assert_eq!((c.hits(), c.misses()), (gold.hits(), gold.misses()));
+        // Same recency: the same victims in the same order.
+        for _ in 0..4 {
+            assert_eq!(c.evict_one(), gold.evict_one());
+        }
+    }
+
+    #[test]
+    fn hit_run_truncates_and_falls_back() {
+        let mut c = lru_cache(8);
+        for k in [1u64, 2, 10] {
+            c.access(k);
+        }
+        let mut run = c.resolve_hit_run(&[1, 3, 2]);
+        assert_eq!(run.len(), 1, "lane 1 misses");
+        let fallback = c.resolve_hit_run(&[9, 10, 11]);
+        assert_eq!(run.or_fallback(&fallback), 0b010, "lane 1 falls back");
+        assert_eq!(run.len(), 3);
+        run.truncate(2);
+        run.truncate(5);
+        assert_eq!(run.len(), 2, "truncate never lengthens");
+        // A group wider than LANES resolves its first LANES lanes only.
+        assert_eq!(c.resolve_hit_run(&[1; LANES + 4]).len(), LANES);
     }
 
     #[test]

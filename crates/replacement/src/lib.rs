@@ -41,7 +41,7 @@ pub mod slru;
 pub mod twoq;
 
 pub use any::AnyPolicy;
-pub use cache::{AccessResult, CacheSim};
+pub use cache::{AccessResult, CacheSim, HitRun, LANES};
 pub use clock::Clock;
 pub use fifo::Fifo;
 pub use lfu::Lfu;

@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compile;
 pub mod epsilon;
 pub mod multicore;
 pub mod replicate;
@@ -19,7 +18,6 @@ pub mod runner;
 pub mod sweep;
 pub mod tenants;
 
-pub use compile::{CompileStats, Resolved, TenantCompiler, TraceCompiler};
 pub use epsilon::LatencyModel;
 pub use multicore::{
     run_multicore, run_multicore_observed, CoreStats, MulticoreConfig, MulticoreResult,

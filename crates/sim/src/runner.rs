@@ -54,18 +54,9 @@ pub fn run_batched<M: MemoryManager + ?Sized>(
     measure: u64,
     batch: usize,
 ) -> SimStats {
-    assert!(batch > 0, "batch size must be positive");
-    let mut iter = trace.into_iter();
-    let mut buf = Vec::with_capacity(batch);
-    drive(mgr, &mut iter, warmup, batch, &mut buf);
-    let warmup_costs = mgr.costs();
-    mgr.reset_costs();
-    drive(mgr, &mut iter, measure, batch, &mut buf);
-    SimStats {
-        name: mgr.name(),
-        costs: mgr.costs(),
-        warmup_costs,
-    }
+    run_phases(mgr, trace, warmup, measure, batch, |m, vs| {
+        m.access_batch(vs)
+    })
 }
 
 /// [`run_batched`] with hot-path profiling: identical drive protocol and
@@ -85,13 +76,30 @@ pub fn run_batched_profiled<M: MemoryManager + ?Sized>(
     batch: usize,
     prof: &mut dyn ProfSink,
 ) -> SimStats {
+    run_phases(mgr, trace, warmup, measure, batch, |m, vs| {
+        m.access_batch_profiled(vs, prof)
+    })
+}
+
+/// The warmup → reset → measure protocol shared by [`run_batched`] and
+/// [`run_batched_profiled`], which differ only in how a chunk is
+/// serviced. Taking that as a closure keeps each driver's monomorphized
+/// loop free of the other's entry point.
+fn run_phases<M: MemoryManager + ?Sized>(
+    mgr: &mut M,
+    trace: impl IntoIterator<Item = VirtPage>,
+    warmup: u64,
+    measure: u64,
+    batch: usize,
+    mut service: impl FnMut(&mut M, &[VirtPage]),
+) -> SimStats {
     assert!(batch > 0, "batch size must be positive");
     let mut iter = trace.into_iter();
     let mut buf = Vec::with_capacity(batch);
-    drive_profiled(mgr, &mut iter, warmup, batch, &mut buf, prof);
+    drive(mgr, &mut iter, warmup, batch, &mut buf, &mut service);
     let warmup_costs = mgr.costs();
     mgr.reset_costs();
-    drive_profiled(mgr, &mut iter, measure, batch, &mut buf, prof);
+    drive(mgr, &mut iter, measure, batch, &mut buf, &mut service);
     SimStats {
         name: mgr.name(),
         costs: mgr.costs(),
@@ -100,13 +108,15 @@ pub fn run_batched_profiled<M: MemoryManager + ?Sized>(
 }
 
 /// Replays up to `total` accesses in `batch`-sized chunks through the
-/// reused `buf`, announcing each chunk boundary. Stops when the trace ends.
+/// reused `buf`, handing each chunk to `service` and announcing its
+/// boundary. Stops when the trace ends.
 fn drive<M: MemoryManager + ?Sized>(
     mgr: &mut M,
     iter: &mut impl Iterator<Item = VirtPage>,
     total: u64,
     batch: usize,
     buf: &mut Vec<VirtPage>,
+    service: &mut impl FnMut(&mut M, &[VirtPage]),
 ) {
     let mut remaining = total;
     while remaining > 0 {
@@ -121,30 +131,7 @@ fn drive<M: MemoryManager + ?Sized>(
         // boundary emission below, are bit-for-bit the same — in
         // particular, an empty final chunk broke out above and announces
         // no boundary.
-        mgr.access_batch(buf);
-        mgr.batch_boundary(buf.len());
-        remaining -= buf.len() as u64;
-    }
-}
-
-/// [`drive`] through the profiled batch entry point.
-fn drive_profiled<M: MemoryManager + ?Sized>(
-    mgr: &mut M,
-    iter: &mut impl Iterator<Item = VirtPage>,
-    total: u64,
-    batch: usize,
-    buf: &mut Vec<VirtPage>,
-    prof: &mut dyn ProfSink,
-) {
-    let mut remaining = total;
-    while remaining > 0 {
-        let want = remaining.min(batch as u64) as usize;
-        buf.clear();
-        buf.extend(iter.by_ref().take(want));
-        if buf.is_empty() {
-            break;
-        }
-        mgr.access_batch_profiled(buf, prof);
+        service(mgr, buf);
         mgr.batch_boundary(buf.len());
         remaining -= buf.len() as u64;
     }

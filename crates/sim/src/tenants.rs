@@ -73,24 +73,7 @@ pub fn run_tenants_batched<M: TenantManager + ?Sized>(
     measure: u64,
     batch: usize,
 ) -> TenantStats {
-    assert!(batch > 0, "batch size must be positive");
-    let mut iter = ops.into_iter();
-    let mut current = Asid::SINGLE;
-
-    drive(mgr, &mut iter, &mut current, warmup, batch);
-    let warmup_costs = mgr.costs();
-    mgr.reset_costs();
-    let measured = drive(mgr, &mut iter, &mut current, measure, batch);
-
-    TenantStats {
-        name: mgr.name(),
-        costs: mgr.costs(),
-        warmup_costs,
-        per_tenant: mgr.tenant_costs(),
-        switches: measured.switches,
-        retirements: measured.retirements,
-        shootdowns: measured.shootdowns,
-    }
+    run_phases(mgr, ops, warmup, measure, batch, None)
 }
 
 /// [`run_tenants_batched`] with a per-window snapshot callback for
@@ -121,15 +104,58 @@ pub fn run_tenants_batched_windowed<M: TenantManager + ?Sized>(
     window: u64,
     mut on_window: impl FnMut(u64, &[(Asid, Costs)]),
 ) -> TenantStats {
-    assert!(batch > 0, "batch size must be positive");
     assert!(window > 0, "window size must be positive");
+    let windows: Windows<'_> = (window, &mut on_window);
+    run_phases(mgr, ops, warmup, measure, batch, Some(windows))
+}
+
+/// A measure-phase window callback: `(window size, on_window)`.
+type Windows<'a> = (u64, &'a mut dyn FnMut(u64, &[(Asid, Costs)]));
+
+/// The warmup → reset → measure protocol shared by
+/// [`run_tenants_batched`] and [`run_tenants_batched_windowed`]: the
+/// measure phase is one [`drive`] call, or one per window.
+fn run_phases<M: TenantManager + ?Sized>(
+    mgr: &mut M,
+    ops: impl IntoIterator<Item = TenantOp>,
+    warmup: u64,
+    measure: u64,
+    batch: usize,
+    windows: Option<Windows<'_>>,
+) -> TenantStats {
+    assert!(batch > 0, "batch size must be positive");
     let mut iter = ops.into_iter();
     let mut current = Asid::SINGLE;
 
     drive(mgr, &mut iter, &mut current, warmup, batch);
     let warmup_costs = mgr.costs();
     mgr.reset_costs();
+    let measured = match windows {
+        None => drive(mgr, &mut iter, &mut current, measure, batch),
+        Some(w) => drive_windows(mgr, &mut iter, &mut current, measure, batch, w),
+    };
 
+    TenantStats {
+        name: mgr.name(),
+        costs: mgr.costs(),
+        warmup_costs,
+        per_tenant: mgr.tenant_costs(),
+        switches: measured.switches,
+        retirements: measured.retirements,
+        shootdowns: measured.shootdowns,
+    }
+}
+
+/// The windowed measure phase: [`drive`] one `window`-access quota at a
+/// time, reporting each window's per-tenant deltas to `on_window`.
+fn drive_windows<M: TenantManager + ?Sized>(
+    mgr: &mut M,
+    iter: &mut impl Iterator<Item = TenantOp>,
+    current: &mut Asid,
+    measure: u64,
+    batch: usize,
+    (window, on_window): Windows<'_>,
+) -> PhaseCounts {
     let mut counts = PhaseCounts::default();
     let mut prev: Vec<(Asid, Costs)> = mgr.tenant_costs();
     let mut done = 0u64;
@@ -137,7 +163,7 @@ pub fn run_tenants_batched_windowed<M: TenantManager + ?Sized>(
     while done < measure {
         let quota = window.min(measure - done);
         let before = mgr.costs().accesses;
-        let c = drive(mgr, &mut iter, &mut current, quota, batch);
+        let c = drive(mgr, iter, current, quota, batch);
         counts.switches += c.switches;
         counts.retirements += c.retirements;
         counts.shootdowns += c.shootdowns;
@@ -152,16 +178,7 @@ pub fn run_tenants_batched_windowed<M: TenantManager + ?Sized>(
         prev = cur;
         index += 1;
     }
-
-    TenantStats {
-        name: mgr.name(),
-        costs: mgr.costs(),
-        warmup_costs,
-        per_tenant: mgr.tenant_costs(),
-        switches: counts.switches,
-        retirements: counts.retirements,
-        shootdowns: counts.shootdowns,
-    }
+    counts
 }
 
 /// Per-tenant cost deltas `cur − prev`, omitting untouched tenants. A

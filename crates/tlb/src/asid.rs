@@ -12,11 +12,9 @@
 //! inner sim's hit/miss counters over-count probes; [`AsidTlb`] keeps its
 //! own per-lookup [`AsidTlbStats`] instead.
 
-use crate::batch::LANES;
 use crate::full::Tlb;
-use atp_hash::{fx_hash, NO_SLOT};
-use atp_replacement::{AnyPolicy, Lru, Policy, PolicyBuild, PolicyKind};
-use atp_types::{Asid, NoProf, ProfSink, TaggedHugePage, VirtHugePage};
+use atp_replacement::{AnyPolicy, HitRun, Lru, Policy, PolicyBuild, PolicyKind, LANES};
+use atp_types::{Asid, TaggedHugePage, VirtHugePage};
 
 /// Counters for an ASID-tagged TLB, kept per *lookup* (not per probe).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -43,6 +41,30 @@ impl AsidTlbStats {
     /// Total hits (private + global).
     pub fn hits(&self) -> u64 {
         self.private_hits + self.global_hits
+    }
+}
+
+/// One lane group's leading hit run in an [`AsidTlb`], produced by
+/// [`AsidTlb::resolve_hit_run`]: per lane, the tenant's private entry if
+/// resident, else the global one.
+#[derive(Clone, Copy, Debug)]
+pub struct AsidHitRun {
+    run: HitRun,
+    /// Bitmask of the lanes that matched a global entry.
+    global: u32,
+}
+
+impl AsidHitRun {
+    /// Lanes in the leading hit run.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.run.len()
+    }
+
+    /// Whether the group's first lane missed.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.run.is_empty()
     }
 }
 
@@ -215,129 +237,36 @@ impl<V, P: Policy> AsidTlb<V, P> {
         false
     }
 
-    /// Wide probe for a lane group that shares one ASID: resolves each
-    /// lane's *private* key into `private_out[i]` and its *global* key
-    /// into `global_out[i]` (slot id or [`NO_SLOT`]). Both key sets are
-    /// probed group-wide so their probe-line misses overlap. Pure reads;
-    /// the resolutions stay valid until the next membership mutation.
-    /// Retire hit lanes in access order via [`AsidTlb::apply_hit`].
-    ///
-    /// # Panics
-    /// Panics if the group is wider than [`LANES`] or the slices are
-    /// unpaired.
-    pub fn probe_wide(
-        &self,
-        asid: Asid,
-        huges: &[VirtHugePage],
-        private_out: &mut [u32],
-        global_out: &mut [u32],
-    ) {
-        let n = huges.len();
-        assert!(n <= LANES, "lane group wider than LANES");
-        assert_eq!(private_out.len(), n, "unpaired wide-probe lanes");
-        assert_eq!(global_out.len(), n, "unpaired wide-probe lanes");
-        let mut pk = [TaggedHugePage::global(VirtHugePage(0)); LANES];
-        let mut gk = pk;
-        let mut ph = [0u64; LANES];
-        let mut gh = [0u64; LANES];
-        for i in 0..n {
-            pk[i] = TaggedHugePage::new(asid, huges[i]);
-            gk[i] = TaggedHugePage::global(huges[i]);
-            ph[i] = fx_hash(&pk[i]);
-            gh[i] = fx_hash(&gk[i]);
-        }
-        self.inner.probe_wide(&ph[..n], &pk[..n], private_out);
-        self.inner.probe_wide(&gh[..n], &gk[..n], global_out);
-    }
-
-    /// Retires one hit lane resolved by [`AsidTlb::probe_wide`]: exactly
-    /// the hit path of [`AsidTlb::lookup`], with the private entry
-    /// shadowing the global one.
-    pub fn apply_hit(&mut self, private_slot: u32, global_slot: u32) -> &V {
-        if private_slot != NO_SLOT {
-            self.stats.private_hits += 1;
-            self.inner.apply_hit(private_slot)
-        } else {
-            debug_assert_ne!(global_slot, NO_SLOT, "apply_hit on a fully missed lane");
-            self.stats.global_hits += 1;
-            self.inner.apply_hit(global_slot)
-        }
-    }
-
-    /// Prefetches the policy's metadata lines for a resolved slot.
-    /// Semantically a no-op.
+    /// Pure-read step of the lane-group retire for a group that shares
+    /// one ASID: resolves each of the first [`LANES`] lanes to its
+    /// private entry, else its global one, and the leading run of lanes
+    /// that matched either. Both key sets are probed group-wide so their
+    /// probe-line misses overlap.
     #[inline]
-    pub fn touch_slot(&self, slot: u32) {
-        self.inner.touch_slot(slot);
-    }
-
-    /// Accesses every lane of `huges` in order on behalf of one tenant,
-    /// filling misses with private entries from `fill`, and returns how
-    /// many hit. Bit-for-bit equivalent to per-lane
-    /// [`AsidTlb::access_or_fill`]: each [`LANES`]-wide group is resolved
-    /// by [`AsidTlb::probe_wide`], the leading hit run retires through
-    /// [`AsidTlb::apply_hit`], and the rest replay sequentially from the
-    /// first full miss (an insert invalidates later resolutions).
-    pub fn access_or_fill_wide(
-        &mut self,
-        asid: Asid,
-        huges: &[VirtHugePage],
-        fill: impl FnMut(VirtHugePage) -> V,
-    ) -> u64 {
-        self.access_or_fill_wide_prof(asid, huges, fill, NoProf)
-    }
-
-    /// [`AsidTlb::access_or_fill_wide`] with a [`ProfSink`]: identical
-    /// state transitions and return value, plus a resolution breakdown —
-    /// `rc_hit` for lanes retired in the wide-probe hit run, `rc_stale`
-    /// for replayed lanes that still hit, `rc_cold` for replayed misses
-    /// (so `rc_hit + rc_stale` equals this TLB's total hits and `rc_cold`
-    /// its misses) — and the per-group fast-run occupancy. The unprofiled
-    /// entry point delegates here with [`NoProf`], whose `enabled()`
-    /// constant-folds the profiling branches away.
-    pub fn access_or_fill_wide_prof<PS: ProfSink>(
-        &mut self,
-        asid: Asid,
-        huges: &[VirtHugePage],
-        mut fill: impl FnMut(VirtHugePage) -> V,
-        mut prof: PS,
-    ) -> u64 {
-        let profiled = prof.enabled();
-        let mut hits = 0u64;
-        for chunk in huges.chunks(LANES) {
-            let n = chunk.len();
-            let mut ps = [NO_SLOT; LANES];
-            let mut gs = [NO_SLOT; LANES];
-            self.probe_wide(asid, chunk, &mut ps[..n], &mut gs[..n]);
-            let mut run = 0usize;
-            while run < n && (ps[run] != NO_SLOT || gs[run] != NO_SLOT) {
-                run += 1;
-            }
-            for i in 0..run {
-                self.touch_slot(if ps[i] != NO_SLOT { ps[i] } else { gs[i] });
-            }
-            for i in 0..run {
-                self.apply_hit(ps[i], gs[i]);
-            }
-            hits += run as u64;
-            if profiled {
-                prof.lane_occupancy(run as u64);
-                if run > 0 {
-                    prof.rc_hit(run as u64);
-                }
-            }
-            for &huge in &chunk[run..] {
-                if self.access_or_fill(asid, huge, || fill(huge)) {
-                    hits += 1;
-                    if profiled {
-                        prof.rc_stale(1);
-                    }
-                } else if profiled {
-                    prof.rc_cold(1);
-                }
-            }
+    pub fn resolve_hit_run(&self, asid: Asid, huges: &[VirtHugePage]) -> AsidHitRun {
+        let huges = huges.get(..LANES).unwrap_or(huges);
+        let n = huges.len();
+        let mut private = [TaggedHugePage::global(VirtHugePage(0)); LANES];
+        let mut global = private;
+        for (i, &huge) in huges.iter().enumerate() {
+            private[i] = TaggedHugePage::new(asid, huge);
+            global[i] = TaggedHugePage::global(huge);
         }
-        hits
+        let mut run = self.inner.resolve_hit_run(&private[..n]);
+        let global = run.or_fallback(&self.inner.resolve_hit_run(&global[..n]));
+        AsidHitRun { run, global }
+    }
+
+    /// Apply step of the lane-group retire: retires a resolved run in
+    /// lane order, each lane exactly the hit path of [`AsidTlb::lookup`]
+    /// (the private entry shadowing the global one).
+    #[inline]
+    pub fn retire_hit_run(&mut self, r: &AsidHitRun) {
+        let len = r.run.len();
+        let global = u64::from((r.global & ((1u32 << len) - 1)).count_ones());
+        self.stats.global_hits += global;
+        self.stats.private_hits += len as u64 - global;
+        self.inner.retire_hit_run(&r.run);
     }
 
     /// Iterates resident (key, value) pairs in arbitrary order.
@@ -427,49 +356,29 @@ mod tests {
     }
 
     #[test]
-    fn profiled_wide_is_behaviour_identical_and_reconciles() {
-        #[derive(Default)]
-        struct Tally {
-            rc_hit: u64,
-            rc_stale: u64,
-            rc_cold: u64,
-            groups: u64,
-            occupancy: u64,
+    fn lane_group_retire_matches_lookup_split() {
+        let mut t: AsidTlb<u64> = AsidTlb::lru(8);
+        let mut gold: AsidTlb<u64> = AsidTlb::lru(8);
+        for tlb in [&mut t, &mut gold] {
+            tlb.insert_global(VirtHugePage(0), 100);
+            tlb.insert_global(VirtHugePage(1), 101);
+            tlb.insert(Asid(1), VirtHugePage(1), 11);
+            tlb.insert(Asid(1), VirtHugePage(2), 12);
+            tlb.insert(Asid(2), VirtHugePage(3), 23);
         }
-        impl ProfSink for Tally {
-            fn rc_hit(&mut self, n: u64) {
-                self.rc_hit += n;
-            }
-            fn rc_stale(&mut self, n: u64) {
-                self.rc_stale += n;
-            }
-            fn rc_cold(&mut self, n: u64) {
-                self.rc_cold += n;
-            }
-            fn lane_occupancy(&mut self, retired: u64) {
-                self.groups += 1;
-                self.occupancy += retired;
-            }
+        // Global, private-over-global, private, global again; then page 3
+        // (another tenant's) misses and ends the run.
+        let huges: Vec<VirtHugePage> = [0, 1, 2, 0, 3, 2].into_iter().map(VirtHugePage).collect();
+        assert_eq!(t.resolve_hit_run(Asid(1), &huges).len(), 4);
+        assert_eq!(t.stats(), gold.stats(), "resolution is a pure read");
+        let run = t.resolve_hit_run(Asid(1), &huges[..3]);
+        t.retire_hit_run(&run);
+        for &u in &huges[..3] {
+            gold.lookup(Asid(1), u);
         }
-        let mut plain: AsidTlb<u64> = AsidTlb::lru(8);
-        let mut prof: AsidTlb<u64> = AsidTlb::lru(8);
-        plain.insert_global(VirtHugePage(0), 100);
-        prof.insert_global(VirtHugePage(0), 100);
-        let mut tally = Tally::default();
-        let trace: Vec<VirtHugePage> = (0..400u64).map(|i| VirtHugePage(i * 13 % 19)).collect();
-        let mut plain_hits = 0;
-        let mut prof_hits = 0;
-        for chunk in trace.chunks(23) {
-            plain_hits += plain.access_or_fill_wide(Asid(1), chunk, |u| u.0);
-            prof_hits += prof.access_or_fill_wide_prof(Asid(1), chunk, |u| u.0, &mut tally);
-        }
-        assert_eq!(plain_hits, prof_hits, "profiling changed behaviour");
-        assert_eq!(plain.stats(), prof.stats());
-        let s = prof.stats();
-        assert_eq!(tally.rc_hit + tally.rc_stale, s.hits());
-        assert_eq!(tally.rc_cold, s.misses);
-        assert_eq!(tally.rc_hit, tally.occupancy, "fast run == occupancy");
-        assert!(tally.groups > 0);
+        assert_eq!(t.stats(), gold.stats());
+        let s = t.stats();
+        assert_eq!((s.private_hits, s.global_hits), (2, 1));
     }
 
     #[test]

@@ -7,18 +7,18 @@
 //!
 //! * [`Tlb`] — fully associative, ℓ entries, pluggable replacement policy
 //!   (the paper's experiments model "the TLB as a fully associative cache
-//!   and use LRU as the replacement policy", Section 6);
+//!   and use LRU as the replacement policy", Section 6), with a scalar
+//!   entry point (one access at a time, what the managers run) and a
+//!   batch entry point ([`Tlb::access_or_fill_batch`]) that retires whole
+//!   access streams through a speculative resolution cache with
+//!   validation at retire, bit-for-bit equivalent to the scalar path for
+//!   every policy;
 //! * [`SetAssocTlb`] — s sets × a ways with per-set LRU, modeling real
 //!   hardware organizations;
 //! * [`SplitTlb`] — separate structures per page-size class, as real CPUs
 //!   provide ("most systems that implement huge pages use different TLBs for
 //!   each size", footnote 1; e.g. Cascade Lake's 1536-entry 4k/2M L2 dTLB
 //!   plus a 16-entry 1G TLB);
-//! * [`BatchTlb`] — a batched engine retiring whole access streams through
-//!   a speculative resolution cache with validation at retire (plus hash
-//!   and absence-proof reuse on its fused slow lane), generic over the
-//!   same replacement policies as [`Tlb`] and bit-for-bit equivalent to it
-//!   for every policy.
 //!
 //! All models support explicit invalidation, needed for TLB shootdowns in
 //! the multicore extension and for decoupling-driven value updates.
@@ -34,15 +34,13 @@
 #![warn(missing_docs)]
 
 pub mod asid;
-pub mod batch;
 pub mod full;
 pub mod key;
 pub mod set_assoc;
 pub mod split;
 pub mod twolevel;
 
-pub use asid::{AsidTlb, AsidTlbStats};
-pub use batch::BatchTlb;
+pub use asid::{AsidHitRun, AsidTlb, AsidTlbStats};
 pub use full::{Tlb, TlbStats};
 pub use key::TlbKey;
 pub use set_assoc::SetAssocTlb;

@@ -1,10 +1,11 @@
 //! The profiling seam of the hot paths: [`ProfSink`].
 //!
-//! Every batched engine in the workspace (the `BatchTlb` retire loop, the
-//! `AsidTlb` wide probe, the pipeline's lane-group retirement) accepts a
-//! `ProfSink` and reports *logical* operation counts into it — resolution
-//! outcomes, probe lengths, miss-run lengths, lane occupancy, eviction
-//! causes, per-stage op counts. All quantities are deterministic functions
+//! The two batched paths of the workspace accept a `ProfSink` and report
+//! *logical* operation counts into it: the batch entry point of the one
+//! TLB type (`Tlb::access_or_fill_batch` — resolution outcomes, probe
+//! lengths, miss-run lengths, capacity evictions) and the pipeline's
+//! lane-group retire (`Pipeline::access_batch_profiled` — lane occupancy
+//! and per-stage op counts). All quantities are deterministic functions
 //! of (seed, trace, config); no wall clock is involved, so profiles are
 //! byte-reproducible like every other export.
 //!
@@ -12,8 +13,9 @@
 //!
 //! * every method defaults to an empty body, and [`NoProf`] overrides
 //!   nothing, so a monomorphized call against `NoProf` inlines to no code
-//!   at all — the unprofiled entry points delegate to the profiled ones
-//!   with `&mut NoProf` and compile to the exact pre-seam loop;
+//!   at all — each path has one body, generic over the sink, and callers
+//!   without a profiler pass `NoProf`, which compiles to the unprofiled
+//!   loop;
 //! * the trait is object-safe, so cold control paths (driver plumbing,
 //!   `Box<dyn MemoryManager>`) can pass `&mut dyn ProfSink` without
 //!   monomorphizing the whole driver stack.

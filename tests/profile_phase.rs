@@ -9,7 +9,7 @@ use atp::memmgmt::classic::{ClassicConfig, ClassicStages};
 use atp::memmgmt::{Pipeline, Recorder};
 use atp::obs::{PhaseConfig, Profiler, RunObserver, Shared};
 use atp::replacement::{CacheSim, Lru, PolicyKind};
-use atp::tlb::BatchTlb;
+use atp::tlb::Tlb;
 use atp::types::{EvictCause, StageOp, VirtHugePage, VirtPage};
 
 /// A churny two-component key stream: a small hot set (speculative
@@ -39,10 +39,10 @@ fn profiler_reconciles_exactly_with_an_independent_lru_replay() {
     const BATCH: usize = 256;
     let keys = churny_keys();
 
-    let mut tlb: BatchTlb<u64> = BatchTlb::monomorphic(ENTRIES, 7);
+    let mut tlb: Tlb<u64> = Tlb::monomorphic(ENTRIES, 7);
     let mut prof = Profiler::new();
     for chunk in keys.chunks(BATCH) {
-        tlb.access_or_fill_batch_map_prof(chunk, VirtHugePage, |k| k.0, &mut prof);
+        tlb.access_or_fill_batch(chunk, VirtHugePage, |k| k.0, &mut prof);
     }
 
     let mut gold = CacheSim::new(ENTRIES as usize, Lru::new(ENTRIES as usize));
