@@ -16,11 +16,13 @@
 //! | page table    | [`MapPageTable`] (flat `HashMap`)           | `radix`, `hash_table`, `pwc`, `nested`      |
 //! | OPT           | [`opt_misses_naive`] (exhaustive lookahead) | `opt::opt_misses`                           |
 //! | batching      | [`run_single_step`] (unbatched driver)      | `run_batched` over all seven managers       |
+//! | TLB values    | [`VecTlbValue`], [`VecSparseValue`] (heap)  | inline `TlbValue`/`SparseValue`, scheme shadow |
 
 pub mod asid_tlb;
 pub mod ballsbins;
 pub mod batching;
 pub mod belady;
+pub mod encoders;
 pub mod pagetable;
 pub mod policy_tlb;
 pub mod tlb;
@@ -29,6 +31,7 @@ pub use asid_tlb::LinearAsidTlb;
 pub use ballsbins::NaiveGame;
 pub use batching::{counters_modulo_batches, run_single_step};
 pub use belady::opt_misses_naive;
+pub use encoders::{SparseValue as VecSparseValue, TlbValue as VecTlbValue};
 pub use pagetable::MapPageTable;
 pub use policy_tlb::{LinearPolicyTlb, RefPolicy};
 pub use tlb::LinearTlb;

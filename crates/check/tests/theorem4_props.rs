@@ -1,0 +1,182 @@
+//! Theorem 4 (i) and (ii) as generated properties.
+//!
+//! The decoupled manager `Z` glues `X`'s TLB replacement to `Y`'s RAM
+//! replacement through a decoupling scheme, so while the scheme's failure
+//! set `F` is empty eq. (7) holds with equality, access for access:
+//!
+//! * **(i)** Z's TLB misses equal those of `X(hmax)` — virtual huge pages of
+//!   Z's coverage under the same TLB policy — and the sparse manager's
+//!   equal `X(coverage)`'s. Both managers fill ψ(u) exactly on X's misses
+//!   and keep TLB-resident values current with the in-place `Tlb::update`,
+//!   so this also pins that the update never touches replacement state.
+//! * **(ii)** While `F = ∅`, Z's IOs equal `Y(m)`'s: RAM replacement is
+//!   Y's policy over base pages, one IO per fault.
+//!
+//! Traces concatenate uniform, Zipf, phased and sequential segments over
+//! four times the resident budget. Every case runs LRU, FIFO, CLOCK and
+//! SIEVE at batch sizes {1, 13, 4096}, at P = 2^12 or 2^14 with
+//! theory-derived Iceberg parameters. (ii) is checked on the trace prefix
+//! before the first paging failure, so it holds whether or not a case
+//! reaches one. Failures shrink to a minimal segment list and print an
+//! `ATP_CHECK_SEED` replay line.
+
+use atp_check::{bools, check_config, ensure_eq, u64s, vecs, Config, Gen};
+use atp_core::{IcebergAlloc, IcebergParams};
+use atp_memmgmt::decoupled::DecoupledConfig;
+use atp_memmgmt::{
+    DecoupledMm, MemoryManager, PagingOnlyMm, SparseConfig, SparseDecoupledMm, VirtualOnlyMm,
+};
+use atp_replacement::PolicyKind;
+use atp_sim::run_batched;
+use atp_types::{Costs, VirtPage};
+use atp_workloads::{PhasedWorkingSet, UniformRandom, Zipfian};
+
+const TLB: u64 = 64;
+const COVERAGE: u64 = 64;
+const SEED: u64 = 3;
+const BATCHES: [usize; 3] = [1, 13, 4096];
+const POLICIES: [PolicyKind; 4] = [
+    PolicyKind::Lru,
+    PolicyKind::Fifo,
+    PolicyKind::Clock,
+    PolicyKind::Sieve,
+];
+
+/// A case: P = 2^14 (else 2^12), then `(kind, length, seed)` segments.
+type Case = (bool, Vec<(u64, u64, u64)>);
+
+fn cases() -> impl Gen<Value = Case> {
+    (
+        bools(),
+        vecs((u64s(0..=3), u64s(1..=4000), u64s(0..=u64::MAX)), 1..=5),
+    )
+}
+
+/// Expands the segments over `span` pages: uniform, Zipf (s = 1), phased
+/// working sets of `span / 8` pages, or a wrapping sequential scan.
+fn trace(segments: &[(u64, u64, u64)], span: u64) -> Vec<VirtPage> {
+    segments
+        .iter()
+        .flat_map(|&(kind, len, seed)| -> Box<dyn Iterator<Item = VirtPage>> {
+            let len = len as usize;
+            match kind {
+                0 => Box::new(UniformRandom::new(seed, span).take(len)),
+                1 => Box::new(Zipfian::new(seed, span, 1.0).take(len)),
+                2 => Box::new(PhasedWorkingSet::new(seed, span, span / 8, 500).take(len)),
+                _ => {
+                    let start = seed % span;
+                    Box::new((0..len as u64).map(move |i| VirtPage((start + i) % span)))
+                }
+            }
+        })
+        .collect()
+}
+
+fn run(mm: &mut dyn MemoryManager, pages: &[VirtPage], batch: usize) -> Costs {
+    run_batched(mm, pages.iter().copied(), 0, pages.len() as u64, batch).costs
+}
+
+fn z(params: &IcebergParams, policy: PolicyKind) -> DecoupledMm<IcebergAlloc> {
+    DecoupledMm::new(
+        IcebergAlloc::new(params, SEED),
+        DecoupledConfig {
+            tlb_value_bits: 64,
+            tlb_entries: TLB,
+            tlb_policy: policy,
+            resident_pages: params.max_resident,
+            ram_policy: policy,
+            seed: SEED,
+        },
+    )
+}
+
+fn sparse(params: &IcebergParams, policy: PolicyKind) -> SparseDecoupledMm<IcebergAlloc> {
+    SparseDecoupledMm::new(
+        IcebergAlloc::new(params, SEED),
+        SparseConfig {
+            tlb_value_bits: 64,
+            coverage: COVERAGE,
+            tlb_entries: TLB,
+            tlb_policy: policy,
+            resident_pages: params.max_resident,
+            ram_policy: policy,
+            seed: SEED,
+        },
+    )
+}
+
+/// Index of Z's first paging-failure access (the trace length if none).
+fn first_failure(params: &IcebergParams, policy: PolicyKind, pages: &[VirtPage]) -> usize {
+    let mut mm = z(params, policy);
+    pages
+        .iter()
+        .position(|&v| mm.access(v).paging_failure)
+        .unwrap_or(pages.len())
+}
+
+fn theorem4(case: &Case) -> Result<(), String> {
+    let (big, segments) = case;
+    let params = IcebergParams::derive(if *big { 1 << 14 } else { 1 << 12 });
+    let pages = trace(segments, 4 * params.max_resident);
+    for policy in POLICIES {
+        let hmax = z(&params, policy).coverage();
+        let x = run(&mut VirtualOnlyMm::new(hmax, TLB, policy, SEED), &pages, 1);
+        let x_cov = run(
+            &mut VirtualOnlyMm::new(COVERAGE, TLB, policy, SEED),
+            &pages,
+            1,
+        );
+        let clean = &pages[..first_failure(&params, policy, &pages)];
+        let y = run(
+            &mut PagingOnlyMm::new(params.max_resident, policy, SEED),
+            clean,
+            1,
+        );
+        for batch in BATCHES {
+            let at = format!("{policy:?}, batch {batch}");
+            let zc = run(&mut z(&params, policy), &pages, batch);
+            ensure_eq!(
+                zc.tlb_misses,
+                x.tlb_misses,
+                "(i) Z vs X(hmax={hmax}) ({at})"
+            );
+            let sc = run(&mut sparse(&params, policy), &pages, batch);
+            ensure_eq!(
+                sc.tlb_misses,
+                x_cov.tlb_misses,
+                "(i) sparse vs X(coverage={COVERAGE}) ({at})"
+            );
+            let zc = if clean.len() == pages.len() {
+                zc
+            } else {
+                run(&mut z(&params, policy), clean, batch)
+            };
+            ensure_eq!(zc.paging_failures, 0, "prefix before F ≠ ∅ ({at})");
+            ensure_eq!(zc.ios, y.ios, "(ii) Z vs Y(m) while F = ∅ ({at})");
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn decoupled_tlb_misses_equal_x_and_ios_equal_y_while_f_is_empty() {
+    let name = "decoupled_tlb_misses_equal_x_and_ios_equal_y_while_f_is_empty";
+    check_config(
+        name,
+        &cases(),
+        &Config::for_property(name).with_cases(6),
+        theorem4,
+    );
+}
+
+#[test]
+#[ignore = "large sizes: run with --ignored"]
+fn theorem4_holds_over_many_generated_traces() {
+    let name = "theorem4_holds_over_many_generated_traces";
+    check_config(
+        name,
+        &cases(),
+        &Config::for_property(name).with_cases(64),
+        theorem4,
+    );
+}

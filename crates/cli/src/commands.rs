@@ -176,6 +176,22 @@ fn policy_of(name: &str) -> Result<PolicyKind, ArgError> {
         .ok_or_else(|| ArgError(format!("unknown policy {name:?}")))
 }
 
+/// A Zipf exponent option: positive and finite, as `Zipf::new` requires.
+fn zipf_exponent(args: &Args, name: &str, default: f64) -> Result<f64, ArgError> {
+    let s = args.f64_or(name, default)?;
+    check_zipf_exponent(name, s)
+}
+
+fn check_zipf_exponent(name: &str, s: f64) -> Result<f64, ArgError> {
+    if s > 0.0 && s.is_finite() {
+        Ok(s)
+    } else {
+        Err(ArgError(format!(
+            "--{name} must be a positive Zipf exponent, got {s}"
+        )))
+    }
+}
+
 /// Builds a workload iterator from args.
 fn workload(
     args: &Args,
@@ -185,7 +201,11 @@ fn workload(
     Ok(match args.get_or("workload", "bimodal") {
         "bimodal" => Box::new(Bimodal::scaled(seed, virt)),
         "walk" => Box::new(ParetoWalk::new(seed, virt, 0.01)),
-        "zipf" => Box::new(Zipfian::new(seed, virt, args.f64_or("zipf-s", 1.0)?)),
+        "zipf" => Box::new(Zipfian::new(
+            seed,
+            virt,
+            zipf_exponent(args, "zipf-s", 1.0)?,
+        )),
         "uniform" => Box::new(UniformRandom::new(seed, virt)),
         "seq" => Box::new(Sequential::new(virt)),
         "gups" => Box::new(Gups::new(seed, virt * 3 / 4, (virt / 64).max(1))),
@@ -240,8 +260,16 @@ fn common(args: &Args) -> Result<Common, ArgError> {
     if phys == 0 {
         return Err(ArgError("--phys must be at least 1".into()));
     }
+    if virt == 0 {
+        return Err(ArgError("--virt must be at least 1".into()));
+    }
     if tlb == 0 {
         return Err(ArgError("--tlb must be at least 1".into()));
+    }
+    if tlb >= u32::MAX as u64 {
+        return Err(ArgError(format!(
+            "--tlb {tlb} exceeds the 32-bit slot ids of a replacement list"
+        )));
     }
     if !h.is_power_of_two() {
         return Err(ArgError(format!("--h must be a power of two, got {h}")));
@@ -378,6 +406,9 @@ pub fn simulate(raw: &[String]) -> Result<(), ArgError> {
     let window = args.u64_or("window", 0)?;
     let phases = phase_config(&args, window)?;
     let events_cap = args.u64_or("events-cap", EventLog::DEFAULT_CAPACITY as u64)? as usize;
+    if events_cap == 0 {
+        return Err(ArgError("--events-cap must be at least 1".into()));
+    }
 
     // Any export flag attaches the full observer stack; the pipeline stays
     // observer-free (NoopObserver, statically eliminated) otherwise.
@@ -732,7 +763,10 @@ pub fn tenants_cmd(raw: &[String]) -> Result<(), ArgError> {
     }
     let tenant_counts = u64_list(&args, "tenants", &[1, 16, 256])?;
     let skews = f64_list(&args, "skew", &[1.1])?;
-    let page_skew = args.f64_or("page-skew", 1.01)?;
+    for &skew in &skews {
+        check_zipf_exponent("skew", skew)?;
+    }
+    let page_skew = zipf_exponent(&args, "page-skew", 1.01)?;
     let quantum = args.u64_or("quantum", 256)?;
     let churn = args.f64_or("churn", 0.0)?;
     if !(0.0..=1.0).contains(&churn) {
@@ -1563,6 +1597,45 @@ mod tests {
     #[test]
     fn huge_page_larger_than_memory_exits_2() {
         assert_eq!(simulate_classic_exit(&["--h", "128", "--phys", "64"]), 2);
+    }
+
+    #[test]
+    fn zero_zipf_exponent_exits_2() {
+        assert_eq!(
+            simulate_classic_exit(&["--workload", "zipf", "--zipf-s", "0"]),
+            2
+        );
+    }
+
+    #[test]
+    fn zero_tenant_page_skew_exits_2() {
+        let a = ["tenants", "--page-skew", "0", "--accesses", "1k"];
+        assert_eq!(crate::run(&argv(&a)), 2);
+        let a = ["tenants", "--skew", "1.1,0", "--accesses", "1k"];
+        assert_eq!(crate::run(&argv(&a)), 2);
+    }
+
+    #[test]
+    fn zero_virtual_span_exits_2() {
+        assert_eq!(
+            simulate_classic_exit(&["--workload", "uniform", "--virt", "0"]),
+            2
+        );
+    }
+
+    #[test]
+    fn zero_event_capacity_exits_2() {
+        let events = std::env::temp_dir().join("atp-zero-events-cap.json");
+        let events = events.to_str().expect("utf-8 temp path");
+        assert_eq!(
+            simulate_classic_exit(&["--events-cap", "0", "--trace-events", events]),
+            2
+        );
+    }
+
+    #[test]
+    fn tlb_beyond_32_bit_slot_ids_exits_2() {
+        assert_eq!(simulate_classic_exit(&["--tlb", "1099511627776"]), 2);
     }
 
     #[test]

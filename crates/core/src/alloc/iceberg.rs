@@ -20,6 +20,7 @@ use crate::encoding::SlotCode;
 use crate::params::{bits_for, IcebergParams};
 use atp_hash::{FxHashMap, PageHasher};
 use atp_types::{PhysPage, VirtPage};
+use std::collections::hash_map::Entry;
 
 /// Where a placed page lives, for bookkeeping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,12 +32,56 @@ struct Pos {
     hash_index: u8,
 }
 
+/// One tier's per-bin LIFO free stacks, flat: bin `b`'s stack is
+/// `slots[b·cap .. b·cap + len[b]]`, top last.
+#[derive(Clone, Debug)]
+struct FreeStacks {
+    slots: Vec<u32>,
+    len: Vec<u32>,
+    cap: u32,
+}
+
+impl FreeStacks {
+    /// Every bin's stack holds `first..first + cap`, popping `first` first.
+    fn full(bins: u64, first: u32, cap: u32) -> Self {
+        let one_bin = (first..first + cap).rev();
+        Self {
+            slots: (0..bins).flat_map(|_| one_bin.clone()).collect(),
+            len: vec![cap; bins as usize],
+            cap,
+        }
+    }
+
+    /// Occupied slots of bin `b`.
+    #[inline]
+    fn load(&self, b: u64) -> u32 {
+        self.cap - self.len[b as usize]
+    }
+
+    #[inline]
+    fn pop(&mut self, b: u64) -> Option<u32> {
+        let len = &mut self.len[b as usize];
+        if *len == 0 {
+            return None;
+        }
+        *len -= 1;
+        Some(self.slots[b as usize * self.cap as usize + *len as usize])
+    }
+
+    #[inline]
+    fn push(&mut self, b: u64, slot: u32) {
+        let len = &mut self.len[b as usize];
+        self.slots[b as usize * self.cap as usize + *len as usize] = slot;
+        *len += 1;
+    }
+}
+
 /// Iceberg\[2\] allocator.
 #[derive(Clone, Debug)]
 pub struct IcebergAlloc {
     hasher: PageHasher,
-    front_free: Vec<Vec<u32>>,
-    back_free: Vec<Vec<u32>>,
+    front_free: FreeStacks,
+    back_free: FreeStacks,
     placed: FxHashMap<VirtPage, Pos>,
     front_cap: u32,
     back_cap: u32,
@@ -62,10 +107,8 @@ impl IcebergAlloc {
         );
         Self {
             hasher: PageHasher::new(seed, bins, 3),
-            front_free: (0..bins).map(|_| (0..front_cap).rev().collect()).collect(),
-            back_free: (0..bins)
-                .map(|_| (front_cap..front_cap + back_cap).rev().collect())
-                .collect(),
+            front_free: FreeStacks::full(bins, 0, front_cap),
+            back_free: FreeStacks::full(bins, front_cap, back_cap),
             placed: FxHashMap::default(),
             front_cap,
             back_cap,
@@ -76,7 +119,7 @@ impl IcebergAlloc {
 
     /// Number of bins `n`.
     pub fn bins(&self) -> u64 {
-        self.front_free.len() as u64
+        self.front_free.len.len() as u64
     }
 
     /// Front-tier capacity per bin.
@@ -91,12 +134,12 @@ impl IcebergAlloc {
 
     /// Back-tier load of bin `b`.
     pub fn back_load(&self, b: u64) -> u32 {
-        self.back_cap - self.back_free[b as usize].len() as u32
+        self.back_free.load(b)
     }
 
     /// Front-tier load of bin `b`.
     pub fn front_load(&self, b: u64) -> u32 {
-        self.front_cap - self.front_free[b as usize].len() as u32
+        self.front_free.load(b)
     }
 
     /// Lifetime count of placements that spilled to the back tier; the
@@ -123,57 +166,65 @@ impl IcebergAlloc {
             _ => unreachable!(),
         }
     }
+
+    /// Takes a slot for `v`: the front of `h₁(v)`, else Greedy\[2\] over the
+    /// back tiers of `h₂(v)`/`h₃(v)` (comparing back loads only).
+    fn take_slot(
+        hasher: &PageHasher,
+        front: &mut FreeStacks,
+        back: &mut FreeStacks,
+        v: VirtPage,
+    ) -> Option<Pos> {
+        let b1 = hasher.bin(v, 0);
+        if let Some(slot) = front.pop(b1) {
+            return Some(Pos {
+                bin: b1,
+                slot,
+                hash_index: 0,
+            });
+        }
+        let b2 = hasher.bin(v, 1);
+        let b3 = hasher.bin(v, 2);
+        let order = if back.load(b2) <= back.load(b3) {
+            [(b2, 1u8), (b3, 2u8)]
+        } else {
+            [(b3, 2u8), (b2, 1u8)]
+        };
+        order.into_iter().find_map(|(bin, hash_index)| {
+            back.pop(bin).map(|slot| Pos {
+                bin,
+                slot,
+                hash_index,
+            })
+        })
+    }
 }
 
 impl RamAllocator for IcebergAlloc {
     fn place(&mut self, v: VirtPage) -> Result<Placement, PagingFailure> {
-        assert!(!self.placed.contains_key(&v), "page {v:?} double-placed");
-        // Front attempt via h1.
-        let b1 = self.hasher.bin(v, 0);
-        if let Some(slot) = self.front_free[b1 as usize].pop() {
-            let pos = Pos {
-                bin: b1,
-                slot,
-                hash_index: 0,
-            };
-            self.placed.insert(v, pos);
-            return Ok(Placement {
-                frame: self.frame(b1, slot),
-                code: self.code_for(pos),
-            });
-        }
-        // Greedy[2] over back tiers of h2, h3.
-        let b2 = self.hasher.bin(v, 1);
-        let b3 = self.hasher.bin(v, 2);
-        let (first, first_idx, second, second_idx) = if self.back_load(b2) <= self.back_load(b3) {
-            (b2, 1u8, b3, 2u8)
-        } else {
-            (b3, 2u8, b2, 1u8)
+        // One probe of `placed`: the vacant entry is filled on success and
+        // dropped on failure.
+        let Entry::Vacant(entry) = self.placed.entry(v) else {
+            panic!("page {v:?} double-placed");
         };
-        for (bin, idx) in [(first, first_idx), (second, second_idx)] {
-            if let Some(slot) = self.back_free[bin as usize].pop() {
-                self.back_placements += 1;
-                let pos = Pos {
-                    bin,
-                    slot,
-                    hash_index: idx,
-                };
-                self.placed.insert(v, pos);
-                return Ok(Placement {
-                    frame: self.frame(bin, slot),
-                    code: self.code_for(pos),
-                });
-            }
+        let pos = Self::take_slot(&self.hasher, &mut self.front_free, &mut self.back_free, v)
+            .ok_or(PagingFailure { page: v })?;
+        entry.insert(pos);
+        if pos.hash_index != 0 {
+            self.back_placements += 1;
         }
-        Err(PagingFailure { page: v })
+        Ok(Placement {
+            frame: self.frame(pos.bin, pos.slot),
+            code: self.code_for(pos),
+        })
     }
 
     fn free(&mut self, v: VirtPage) -> Option<PhysPage> {
         let pos = self.placed.remove(&v)?;
         if pos.slot < self.front_cap {
-            self.front_free[pos.bin as usize].push(pos.slot);
+            self.front_free.push(pos.bin, pos.slot);
         } else {
-            self.back_free[pos.bin as usize].push(pos.slot);
+            self.back_free.push(pos.bin, pos.slot);
         }
         Some(self.frame(pos.bin, pos.slot))
     }
@@ -323,6 +374,31 @@ mod tests {
         let p = a.place(VirtPage(2)).unwrap();
         assert_eq!(p.frame, f0);
         assert_eq!(p.code.0, 1, "front code");
+    }
+
+    #[test]
+    #[should_panic(expected = "double-placed")]
+    fn double_place_panics() {
+        let mut a = IcebergAlloc::with_geometry(4, 2, 2, 9);
+        a.place(VirtPage(5)).unwrap();
+        let _ = a.place(VirtPage(5));
+    }
+
+    #[test]
+    fn flat_free_stacks_pop_lowest_slot_first_per_tier() {
+        // Each bin's stacks start full and pop in slot order, front slots
+        // 0.. then back slots front_cap..; a freed slot is the next popped.
+        let mut a = IcebergAlloc::with_geometry(1, 3, 2, 4);
+        let frames: Vec<u64> = (0..5u64)
+            .map(|v| a.place(VirtPage(v)).unwrap().frame.0)
+            .collect();
+        assert_eq!(frames, [0, 1, 2, 3, 4]);
+        assert_eq!((a.front_load(0), a.back_load(0)), (3, 2));
+        assert_eq!(a.free(VirtPage(1)), Some(PhysPage(1)));
+        assert_eq!(a.free(VirtPage(3)), Some(PhysPage(3)));
+        assert_eq!(a.place(VirtPage(9)).unwrap().frame, PhysPage(1));
+        assert_eq!(a.place(VirtPage(10)).unwrap().frame, PhysPage(3));
+        assert!(a.place(VirtPage(11)).is_err());
     }
 
     #[test]

@@ -3,23 +3,34 @@
 //! [`DecouplingScheme`] wires a [`RamAllocator`] to the TLB encoding:
 //!
 //! * it exposes `ram_insert` / `ram_evict` for the RAM-replacement policy's
-//!   changes to the active set `A`,
-//! * it maintains the **shadow table** of ψ-values — one [`TlbValue`] per
-//!   virtual huge page with at least one resident constituent — so that
+//!   changes to the active set `A`; `ram_insert` hands back the whole
+//!   [`Placement`], so the caller updates a TLB-resident value without
+//!   asking the allocator again,
+//! * it maintains the **shadow table** of ψ-values — one packed code array
+//!   per virtual huge page with at least one resident constituent — so that
 //!   every update is O(1) (this is exactly the hash table sketched in the
-//!   proof of Theorem 1),
-//! * it provides `psi(u)` for TLB fills and the pure decoding function
-//!   `decode(v, ψ)` of eq. (4),
+//!   proof of Theorem 1). The arrays live in one slab of
+//!   `⌈hmax · bits / 64⌉`-word slots that a map from huge page to slot
+//!   indexes; a slot whose last code is cleared goes on a free list, so
+//!   creating or removing an entry allocates nothing,
+//! * it provides `psi(u)` for dense TLB fills (a [`TlbValue`] copied out of
+//!   the slab), `resident_codes(u)` for sparse ones, and the pure decoding
+//!   function `decode(v, ψ)` of eq. (4),
 //! * it tracks the failure set `F` of pages the allocator could not place.
+//!
+//! The shadow is not bounded by the hardware width: a sparse manager keeps
+//! a dense shadow of `coverage · bits` bits per huge page, which may be far
+//! wider than the [`crate::encoding::MAX_VALUE_BITS`] a [`TlbValue`] holds.
 //!
 //! The scheme is oblivious to the replacement policies, and they to it —
 //! the separation the paper's framework requires.
 
-use crate::alloc::{PagingFailure, RamAllocator};
-use crate::encoding::TlbValue;
+use crate::alloc::{PagingFailure, Placement, RamAllocator};
+use crate::encoding::{read_field, write_field, ResidentCodes, SlotCode, TlbValue};
 use crate::params::hmax_for;
 use atp_hash::{FxHashMap, FxHashSet};
 use atp_types::{HugePageGeometry, PhysPage, VirtHugePage, VirtPage};
+use std::collections::hash_map::Entry;
 
 /// Lifetime statistics of a decoupling scheme.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -30,6 +41,79 @@ pub struct SchemeStats {
     pub failures: u64,
     /// Evictions processed.
     pub evictions: u64,
+}
+
+/// The shadow table: the packed code array of every huge page with a
+/// resident constituent, in fixed-stride slots of one slab.
+#[derive(Clone, Debug)]
+struct Shadow {
+    /// Huge page → slot index.
+    slots: FxHashMap<VirtHugePage, u32>,
+    /// `stride` words per slot; a free slot is all zero.
+    slab: Vec<u64>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
+    stride: usize,
+    bits: u32,
+}
+
+impl Shadow {
+    fn new(codes: u64, bits: u32) -> Self {
+        Self {
+            slots: FxHashMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            stride: (codes * bits as u64).div_ceil(64) as usize,
+            bits,
+        }
+    }
+
+    #[inline]
+    fn words(&self, slot: u32) -> &[u64] {
+        let at = slot as usize * self.stride;
+        &self.slab[at..at + self.stride]
+    }
+
+    /// The packed codes of `u`, if it has a resident constituent.
+    #[inline]
+    fn get(&self, u: VirtHugePage) -> Option<&[u64]> {
+        self.slots.get(&u).map(|&slot| self.words(slot))
+    }
+
+    /// Writes a nonzero code for constituent `idx` of `u`, creating `u`'s
+    /// entry on its first resident constituent.
+    fn set(&mut self, u: VirtHugePage, idx: u32, code: SlotCode) {
+        let (slab, free, stride) = (&mut self.slab, &mut self.free, self.stride);
+        let slot = *self.slots.entry(u).or_insert_with(|| {
+            free.pop().unwrap_or_else(|| {
+                let slot = (slab.len() / stride) as u32;
+                slab.resize(slab.len() + stride, 0);
+                slot
+            })
+        });
+        let at = slot as usize * stride;
+        let bit = idx as usize * self.bits as usize;
+        write_field(&mut slab[at..at + stride], bit, self.bits, code.0 as u64);
+    }
+
+    /// Clears constituent `idx` of `u`; the entry goes once all its codes
+    /// are absent.
+    fn clear(&mut self, u: VirtHugePage, idx: u32) {
+        if let Entry::Occupied(entry) = self.slots.entry(u) {
+            let slot = *entry.get();
+            let at = slot as usize * self.stride;
+            let words = &mut self.slab[at..at + self.stride];
+            write_field(words, idx as usize * self.bits as usize, self.bits, 0);
+            if words.iter().all(|&w| w == 0) {
+                entry.remove();
+                self.free.push(slot);
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (VirtHugePage, &[u64])> {
+        self.slots.iter().map(|(&u, &slot)| (u, self.words(slot)))
+    }
 }
 
 /// A huge-page decoupling scheme over allocator `A`.
@@ -43,9 +127,9 @@ pub struct SchemeStats {
 /// assert_eq!(scheme.hmax(), 8); // 5-bit codes → 8 pages per TLB value
 ///
 /// let v = VirtPage(19);
-/// let frame = scheme.ram_insert(v).unwrap();
+/// let placed = scheme.ram_insert(v).unwrap();
 /// let psi = scheme.psi(scheme.geometry().huge_of(v));
-/// assert_eq!(scheme.decode(v, &psi), Some(frame)); // eq. (4)
+/// assert_eq!(scheme.decode(v, &psi), Some(placed.frame)); // eq. (4)
 /// scheme.ram_evict(v);
 /// assert_eq!(scheme.decode(v, &scheme.psi(scheme.geometry().huge_of(v))), None);
 /// ```
@@ -56,7 +140,7 @@ pub struct DecouplingScheme<A: RamAllocator> {
     bits: u32,
     hmax: u64,
     w: u32,
-    shadow: FxHashMap<VirtHugePage, TlbValue>,
+    shadow: Shadow,
     failed: FxHashSet<VirtPage>,
     stats: SchemeStats,
 }
@@ -89,7 +173,7 @@ impl<A: RamAllocator> DecouplingScheme<A> {
             bits,
             hmax,
             w,
-            shadow: FxHashMap::default(),
+            shadow: Shadow::new(hmax, bits),
             failed: FxHashSet::default(),
             stats: SchemeStats::default(),
         }
@@ -140,33 +224,28 @@ impl<A: RamAllocator> DecouplingScheme<A> {
     /// Whether `v` is currently experiencing a paging failure.
     #[inline]
     pub fn is_failed(&self, v: VirtPage) -> bool {
-        self.failed.contains(&v)
+        !self.failed.is_empty() && self.failed.contains(&v)
     }
 
     /// Handles the RAM-replacement policy adding `v` to the active set.
     ///
     /// On success, the shadow ψ-value of `v`'s huge page is updated and the
-    /// assigned frame returned. On failure, `v` joins `F` (until evicted)
-    /// and the caller must service accesses to it out-of-band.
+    /// placement (frame and slot code) returned. On failure, `v` joins `F`
+    /// (until evicted) and the caller must service accesses to it
+    /// out-of-band.
     ///
-    /// Returns an error if `v` is already active (policy bug) — failed pages
-    /// count as active.
-    pub fn ram_insert(&mut self, v: VirtPage) -> Result<PhysPage, PagingFailure> {
-        assert!(
-            !self.failed.contains(&v),
-            "page {v:?} inserted while failed"
-        );
+    /// # Panics
+    /// Panics if `v` is already active (policy bug) — failed pages count
+    /// as active.
+    pub fn ram_insert(&mut self, v: VirtPage) -> Result<Placement, PagingFailure> {
+        assert!(!self.is_failed(v), "page {v:?} inserted while failed");
         match self.alloc.place(v) {
             Ok(pl) => {
                 self.stats.placements += 1;
                 let u = self.geom.huge_of(v);
                 let idx = self.geom.index_within(v) as u32;
-                let (hmax, bits) = (self.hmax as u32, self.bits);
-                self.shadow
-                    .entry(u)
-                    .or_insert_with(|| TlbValue::new(hmax, bits))
-                    .set(idx, pl.code);
-                Ok(pl.frame)
+                self.shadow.set(u, idx, pl.code);
+                Ok(pl)
             }
             Err(f) => {
                 self.stats.failures += 1;
@@ -180,28 +259,35 @@ impl<A: RamAllocator> DecouplingScheme<A> {
     /// Returns the freed frame (or `None` if `v` was failed or absent).
     pub fn ram_evict(&mut self, v: VirtPage) -> Option<PhysPage> {
         self.stats.evictions += 1;
-        if self.failed.remove(&v) {
+        if !self.failed.is_empty() && self.failed.remove(&v) {
             return None;
         }
         let frame = self.alloc.free(v)?;
         let u = self.geom.huge_of(v);
-        let idx = self.geom.index_within(v) as u32;
-        if let Some(value) = self.shadow.get_mut(&u) {
-            value.set(idx, crate::encoding::SlotCode::ABSENT);
-            if value.is_all_absent() {
-                self.shadow.remove(&u);
-            }
-        }
+        self.shadow.clear(u, self.geom.index_within(v) as u32);
         Some(frame)
     }
 
     /// The current ψ-value for huge page `u` (all-absent if no constituent
-    /// is resident). Cloned for insertion into a TLB.
+    /// is resident), copied out of the shadow for insertion into a TLB.
+    ///
+    /// # Panics
+    /// Panics if `hmax · bits` exceeds [`crate::encoding::MAX_VALUE_BITS`]
+    /// (a shadow wider than any TLB value, such as a sparse manager's; read
+    /// it through [`DecouplingScheme::resident_codes`]).
     pub fn psi(&self, u: VirtHugePage) -> TlbValue {
-        self.shadow
-            .get(&u)
-            .cloned()
-            .unwrap_or_else(|| TlbValue::new(self.hmax as u32, self.bits))
+        let (count, bits) = (self.hmax as u32, self.bits);
+        match self.shadow.get(u) {
+            Some(words) => TlbValue::from_words(count, bits, words),
+            None => TlbValue::new(count, bits),
+        }
+    }
+
+    /// The resident constituents of huge page `u` as `(index, code)` in
+    /// index order, read in place from the shadow. Whole zero words are
+    /// skipped, so taking the first `K` costs O(words + K) for any width.
+    pub fn resident_codes(&self, u: VirtHugePage) -> ResidentCodes<'_> {
+        ResidentCodes::new(self.shadow.get(u).unwrap_or(&[]), self.bits)
     }
 
     /// The TLB-decoding function `f(v, ψ)` of eq. (4): returns `φ(v)` if the
@@ -218,9 +304,9 @@ impl<A: RamAllocator> DecouplingScheme<A> {
         self.alloc.frame_of(v)
     }
 
-    /// Current slot code of `v` ([`crate::encoding::SlotCode::ABSENT`] if
-    /// not placed), for incremental TLB-value maintenance.
-    pub fn code_of(&self, v: VirtPage) -> crate::encoding::SlotCode {
+    /// Current slot code of `v` ([`SlotCode::ABSENT`] if not placed), for
+    /// incremental TLB-value maintenance.
+    pub fn code_of(&self, v: VirtPage) -> SlotCode {
         self.alloc.code_of(v)
     }
 
@@ -229,31 +315,39 @@ impl<A: RamAllocator> DecouplingScheme<A> {
         self.geom.index_within(v) as u32
     }
 
-    /// Verifies eq. (4) plus injectivity over the entire current state;
-    /// used by tests and debug assertions. O(resident).
+    /// Code of constituent `i` in a packed shadow entry.
+    fn shadow_code(&self, words: &[u64], i: u64) -> SlotCode {
+        let width = self.bits;
+        SlotCode(read_field(words, i as usize * width as usize, width) as u32)
+    }
+
+    /// Verifies eq. (4) plus injectivity over the entire current state,
+    /// reading the shadow slab directly; used by tests and debug
+    /// assertions. O(resident).
     pub fn check_invariants(&self) {
         let mut frames = FxHashSet::default();
         for (v, frame) in self.alloc.iter_placed() {
             assert!(frames.insert(frame.0), "φ not injective at frame {frame:?}");
-            let u = self.geom.huge_of(v);
-            let psi = self
+            let words = self
                 .shadow
-                .get(&u)
+                .get(self.geom.huge_of(v))
                 .unwrap_or_else(|| panic!("placed page {v:?} missing shadow entry"));
+            let code = self.shadow_code(words, self.geom.index_within(v));
             assert_eq!(
-                self.decode(v, psi),
+                self.alloc.decode(v, code),
                 Some(frame),
                 "decode mismatch for {v:?}"
             );
         }
         // Every shadow code decodes to the frame of its constituent page,
         // and absent codes correspond to non-resident pages.
-        for (&u, psi) in &self.shadow {
-            for i in 0..self.hmax as u32 {
-                let v = self.geom.constituent(u, i as u64);
+        for (u, words) in self.shadow.iter() {
+            for i in 0..self.hmax {
+                let v = self.geom.constituent(u, i);
+                let decoded = self.alloc.decode(v, self.shadow_code(words, i));
                 match self.alloc.frame_of(v) {
-                    Some(frame) => assert_eq!(self.decode(v, psi), Some(frame)),
-                    None => assert_eq!(self.decode(v, psi), None, "ghost code for {v:?}"),
+                    Some(frame) => assert_eq!(decoded, Some(frame)),
+                    None => assert_eq!(decoded, None, "ghost code for {v:?}"),
                 }
             }
         }
@@ -289,7 +383,7 @@ mod tests {
     fn insert_decode_evict_roundtrip() {
         let mut s = scheme_iceberg();
         let v = VirtPage(19);
-        let frame = s.ram_insert(v).unwrap();
+        let frame = s.ram_insert(v).unwrap().frame;
         let u = s.geometry().huge_of(v);
         let psi = s.psi(u);
         assert_eq!(s.decode(v, &psi), Some(frame));
@@ -317,7 +411,44 @@ mod tests {
         assert_eq!(s.psi(u).resident_count(), 1);
         s.ram_evict(g.constituent(u, 3));
         assert!(s.psi(u).is_all_absent());
-        assert!(s.shadow.is_empty(), "empty shadow entries reclaimed");
+        assert!(s.shadow.slots.is_empty(), "empty shadow entries reclaimed");
+        // The freed slot is reused: a new huge page grows no slab.
+        let slab_words = s.shadow.slab.len();
+        s.ram_insert(g.constituent(g.huge_of(VirtPage(900)), 2))
+            .unwrap();
+        assert_eq!(s.shadow.slots.len(), 1);
+        assert_eq!(s.shadow.slab.len(), slab_words, "free slot recycled");
+        assert!(s.shadow.free.is_empty());
+    }
+
+    #[test]
+    fn slab_stride_is_the_code_width_rounded_to_words() {
+        // hmax · bits ≤ 64 takes one word per entry, not a cache line.
+        assert_eq!(scheme_iceberg().shadow.stride, 1);
+        // One-choice at w = 4096: 1024 four-bit codes, 64 words per entry,
+        // far wider than any TLB value; the shadow still serves it.
+        let mut s = DecouplingScheme::new(OneChoiceAlloc::with_geometry(32, 8, 2), 4096);
+        assert_eq!(s.shadow.stride, 64);
+        let g = s.geometry();
+        let pages = [
+            g.constituent(VirtHugePage(3), 1000),
+            g.constituent(VirtHugePage(3), 7),
+        ];
+        let codes: Vec<_> = pages
+            .iter()
+            .map(|&v| s.ram_insert(v).unwrap().code)
+            .collect();
+        let got: Vec<_> = s.resident_codes(VirtHugePage(3)).collect();
+        assert_eq!(got, [(7, codes[1]), (1000, codes[0])]);
+        assert_eq!(s.resident_codes(VirtHugePage(4)).next(), None);
+        s.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed 512 bits")]
+    fn psi_of_a_shadow_wider_than_any_tlb_value_panics() {
+        let s = DecouplingScheme::new(OneChoiceAlloc::with_geometry(32, 8, 2), 4096);
+        s.psi(VirtHugePage(0));
     }
 
     #[test]
@@ -384,7 +515,7 @@ mod tests {
         let mut s = scheme_iceberg();
         let g = s.geometry();
         let v = VirtPage(42);
-        let frame = s.ram_insert(v).unwrap();
+        let frame = s.ram_insert(v).unwrap().frame;
         let snapshot = s.psi(g.huge_of(v));
         // Churn elsewhere.
         for x in 200..260u64 {

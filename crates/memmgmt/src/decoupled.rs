@@ -131,10 +131,9 @@ impl<A: RamAllocator> Stages for DecoupledStages<A> {
                     self.tlb.update(eu, |val| val.set(idx, SlotCode::ABSENT));
                 }
                 match self.scheme.ram_insert(addr) {
-                    Ok(_frame) => {
+                    Ok(placed) => {
                         let idx = self.scheme.index_within(addr);
-                        let code = self.scheme.code_of(addr);
-                        self.tlb.update(u, |val| val.set(idx, code));
+                        self.tlb.update(u, |val| val.set(idx, placed.code));
                     }
                     Err(_) => {
                         // Placement failed: the 1 IO above covers the

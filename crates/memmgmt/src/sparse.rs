@@ -55,8 +55,8 @@ pub struct SparseStages<A: RamAllocator> {
     scheme: DecouplingScheme<A>,
     tlb: Tlb<SparseValue, AnyPolicy>,
     ram: CacheSim<u64, AnyPolicy>,
-    w: u32,
-    bits: u32,
+    /// The empty value every fill starts from (fixes `w`, coverage, bits).
+    empty: SparseValue,
 }
 
 impl<A: RamAllocator> SparseStages<A> {
@@ -81,8 +81,7 @@ impl<A: RamAllocator> SparseStages<A> {
             scheme,
             tlb: Tlb::new(cfg.tlb_entries, cfg.tlb_policy, cfg.seed),
             ram: CacheSim::new(cap, AnyPolicy::new(cfg.ram_policy, cap, cfg.seed ^ 0x5BA3)),
-            w: cfg.tlb_value_bits,
-            bits,
+            empty: SparseValue::new(cfg.tlb_value_bits, cfg.coverage as u32, bits),
         }
     }
 
@@ -93,7 +92,7 @@ impl<A: RamAllocator> SparseStages<A> {
 
     /// Pairs per TLB value (`K`).
     pub fn pairs_per_value(&self) -> u32 {
-        SparseValue::new(self.w, self.scheme.hmax() as u32, self.bits).capacity()
+        self.empty.capacity()
     }
 
     /// The underlying scheme.
@@ -101,16 +100,13 @@ impl<A: RamAllocator> SparseStages<A> {
         &self.scheme
     }
 
-    /// Builds a fresh sparse value for huge page `u` from the shadow state
-    /// (first-come encoding up to `K`).
+    /// Builds a fresh sparse value for huge page `u` from the shadow state:
+    /// its first `K` resident constituents in index order.
     fn sparse_psi(&self, u: atp_types::VirtHugePage) -> SparseValue {
-        let mut value = SparseValue::new(self.w, self.scheme.hmax() as u32, self.bits);
-        let dense = self.scheme.psi(u);
-        for i in 0..self.scheme.hmax() as u32 {
-            let code = dense.get(i);
-            if !code.is_absent() && !value.set(i, code) {
-                break; // full
-            }
+        let mut value = self.empty;
+        let k = value.capacity() as usize;
+        for (i, code) in self.scheme.resident_codes(u).take(k) {
+            value.set(i, code);
         }
         value
     }
@@ -145,16 +141,19 @@ impl<A: RamAllocator> Stages for SparseStages<A> {
                     report.paging_failure = true;
                 } else if probe == TlbProbe::Hit {
                     // Resident + covered: does the sparse value know addr?
-                    let known = self.tlb.peek(u).and_then(|v| v.get(idx)).is_some();
-                    if !known {
-                        // §5: resident but unencoded — decoding miss; the
-                        // walk result may now be re-encoded for free.
-                        report.decode_miss = true;
-                        let code = self.scheme.code_of(addr);
-                        self.tlb.update(u, |v| {
-                            v.set(idx, code);
-                        });
-                    }
+                    // If not (§5: resident but unencoded) it is a decoding
+                    // miss, and the walk result is re-encoded for free if
+                    // a pair is free — one TLB probe either way.
+                    let scheme = &self.scheme;
+                    let covered = self.tlb.update(u, |v| {
+                        if v.get(idx).is_none() {
+                            report.decode_miss = true;
+                            if !v.is_full() {
+                                v.set(idx, scheme.code_of(addr));
+                            }
+                        }
+                    });
+                    report.decode_miss |= !covered;
                 }
             }
             AccessResult::Miss { evicted } => {
@@ -170,10 +169,9 @@ impl<A: RamAllocator> Stages for SparseStages<A> {
                     });
                 }
                 match self.scheme.ram_insert(addr) {
-                    Ok(_) => {
-                        let code = self.scheme.code_of(addr);
+                    Ok(placed) => {
                         self.tlb.update(u, |v| {
-                            v.set(idx, code); // may drop: future decode miss
+                            v.set(idx, placed.code); // may drop: future decode miss
                         });
                     }
                     Err(_) => {
