@@ -1,4 +1,4 @@
-//! Theorem 4 (i) and (ii) as generated properties.
+//! Theorem 4 (i) and (ii) and Lemma 1 as generated properties.
 //!
 //! The decoupled manager `Z` glues `X`'s TLB replacement to `Y`'s RAM
 //! replacement through a decoupling scheme, so while the scheme's failure
@@ -11,6 +11,12 @@
 //!   so this also pins that the update never touches replacement state.
 //! * **(ii)** While `F = ∅`, Z's IOs equal `Y(m)`'s: RAM replacement is
 //!   Y's policy over base pages, one IO per fault.
+//! * **Lemma 1** reduces X and Y to classical paging: `X(hmax)`'s TLB
+//!   misses are the misses of a 64-entry cache over the huge-page stream
+//!   ⌊v/hmax⌋, and `Y(m)`'s IOs those of an m-page cache over the page
+//!   stream. The caches here are the linear-scan [`LinearPolicyTlb`]
+//!   oracle, which shares no code with `atp-replacement`, so this checks
+//!   every `AnyPolicy` arm X and Y reach, lane-group retire included.
 //!
 //! Traces concatenate uniform, Zipf, phased and sequential segments over
 //! four times the resident budget. Every case runs LRU, FIFO, CLOCK and
@@ -20,6 +26,7 @@
 //! reaches one. Failures shrink to a minimal segment list and print an
 //! `ATP_CHECK_SEED` replay line.
 
+use atp_check::oracles::{LinearPolicyTlb, RefPolicy};
 use atp_check::{bools, check_config, ensure_eq, u64s, vecs, Config, Gen};
 use atp_core::{IcebergAlloc, IcebergParams};
 use atp_memmgmt::decoupled::DecoupledConfig;
@@ -28,18 +35,22 @@ use atp_memmgmt::{
 };
 use atp_replacement::PolicyKind;
 use atp_sim::run_batched;
-use atp_types::{Costs, VirtPage};
+use atp_types::{Costs, VirtHugePage, VirtPage};
 use atp_workloads::{PhasedWorkingSet, UniformRandom, Zipfian};
 
 const TLB: u64 = 64;
 const COVERAGE: u64 = 64;
 const SEED: u64 = 3;
+/// Y's resident pages in the Lemma 1 check, small because the oracle
+/// scans linearly.
+const RAM: u64 = 256;
 const BATCHES: [usize; 3] = [1, 13, 4096];
-const POLICIES: [PolicyKind; 4] = [
-    PolicyKind::Lru,
-    PolicyKind::Fifo,
-    PolicyKind::Clock,
-    PolicyKind::Sieve,
+/// Each policy with its linear-scan oracle twin.
+const POLICIES: [(PolicyKind, RefPolicy); 4] = [
+    (PolicyKind::Lru, RefPolicy::Lru),
+    (PolicyKind::Fifo, RefPolicy::Fifo),
+    (PolicyKind::Clock, RefPolicy::Clock),
+    (PolicyKind::Sieve, RefPolicy::Sieve),
 ];
 
 /// A case: P = 2^14 (else 2^12), then `(kind, length, seed)` segments.
@@ -118,7 +129,7 @@ fn theorem4(case: &Case) -> Result<(), String> {
     let (big, segments) = case;
     let params = IcebergParams::derive(if *big { 1 << 14 } else { 1 << 12 });
     let pages = trace(segments, 4 * params.max_resident);
-    for policy in POLICIES {
+    for (policy, _) in POLICIES {
         let hmax = z(&params, policy).coverage();
         let x = run(&mut VirtualOnlyMm::new(hmax, TLB, policy, SEED), &pages, 1);
         let x_cov = run(
@@ -156,6 +167,52 @@ fn theorem4(case: &Case) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Misses of a `capacity`-entry linear-scan cache under `policy` over
+/// `keys`.
+fn oracle_misses(keys: impl Iterator<Item = u64>, capacity: u64, policy: RefPolicy) -> u64 {
+    let mut cache = LinearPolicyTlb::new(capacity as usize, policy);
+    keys.filter(|&k| !cache.access_or_fill(VirtHugePage(k), || ()))
+        .count() as u64
+}
+
+fn lemma1(case: &Case) -> Result<(), String> {
+    let (big, segments) = case;
+    let params = IcebergParams::derive(if *big { 1 << 14 } else { 1 << 12 });
+    let pages = trace(segments, 4 * params.max_resident);
+    for (policy, reference) in POLICIES {
+        let hmax = z(&params, policy).coverage();
+        let huge_misses = oracle_misses(pages.iter().map(|v| v.0 / hmax), TLB, reference);
+        let page_misses = oracle_misses(pages.iter().map(|v| v.0), RAM, reference);
+        for batch in BATCHES {
+            let at = format!("{policy:?}, batch {batch}");
+            let x = run(
+                &mut VirtualOnlyMm::new(hmax, TLB, policy, SEED),
+                &pages,
+                batch,
+            );
+            ensure_eq!(
+                x.tlb_misses,
+                huge_misses,
+                "X(hmax={hmax}) vs paging over huge pages ({at})"
+            );
+            let y = run(&mut PagingOnlyMm::new(RAM, policy, SEED), &pages, batch);
+            ensure_eq!(y.ios, page_misses, "Y(m={RAM}) vs paging over pages ({at})");
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn x_and_y_equal_classical_paging() {
+    let name = "x_and_y_equal_classical_paging";
+    check_config(
+        name,
+        &cases(),
+        &Config::for_property(name).with_cases(6),
+        lemma1,
+    );
 }
 
 #[test]

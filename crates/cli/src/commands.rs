@@ -51,7 +51,7 @@ COMMON OPTIONS (sizes accept k/m/g suffixes and 2^n):
   --accesses N    measured accesses         [1m]
   --warmup N      warmup accesses           [accesses]
   --epsilon F     TLB-miss cost ε           [0.01]
-  --policy P      lru|fifo|clock|…          [lru]
+  --policy P      lru|fifo|clock|sieve|marking [lru]
   --seed N        RNG seed                  [42]
 
 SIMULATE:
@@ -173,7 +173,13 @@ fn policy_of(name: &str) -> Result<PolicyKind, ArgError> {
     PolicyKind::ALL
         .into_iter()
         .find(|k| k.name() == name)
-        .ok_or_else(|| ArgError(format!("unknown policy {name:?}")))
+        .ok_or_else(|| {
+            let known: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
+            ArgError(format!(
+                "unknown policy {name:?} (expected {})",
+                known.join("|")
+            ))
+        })
 }
 
 /// A Zipf exponent option: positive and finite, as `Zipf::new` requires.
@@ -208,7 +214,15 @@ fn workload(
         )),
         "uniform" => Box::new(UniformRandom::new(seed, virt)),
         "seq" => Box::new(Sequential::new(virt)),
-        "gups" => Box::new(Gups::new(seed, virt * 3 / 4, (virt / 64).max(1))),
+        "gups" => {
+            let table = virt * 3 / 4;
+            if table == 0 {
+                return Err(ArgError(format!(
+                    "--workload gups needs --virt of at least 2 (its table is 3/4 of it), got {virt}"
+                )));
+            }
+            Box::new(Gups::new(seed, table, (virt / 64).max(1)))
+        }
         "stencil" => {
             // Square grid sized so both arrays fill the virtual space.
             let cells = virt * (4096 / 8) / 2;
@@ -259,6 +273,11 @@ fn common(args: &Args) -> Result<Common, ArgError> {
     let h = args.u64_or("h", 64)?;
     if phys == 0 {
         return Err(ArgError("--phys must be at least 1".into()));
+    }
+    if phys >= u32::MAX as u64 {
+        return Err(ArgError(format!(
+            "--phys {phys} exceeds the 32-bit slot ids of a replacement list"
+        )));
     }
     if virt == 0 {
         return Err(ArgError("--virt must be at least 1".into()));
@@ -1636,6 +1655,44 @@ mod tests {
     #[test]
     fn tlb_beyond_32_bit_slot_ids_exits_2() {
         assert_eq!(simulate_classic_exit(&["--tlb", "1099511627776"]), 2);
+    }
+
+    #[test]
+    fn phys_beyond_32_bit_slot_ids_exits_2() {
+        // Rejected before anything is allocated, for every manager (x
+        // keeps no RAM but still shares the option parser).
+        for mgr in ["classic", "decoupled", "sparse", "thp", "x", "y"] {
+            let a = ["simulate", "--manager", mgr, "--phys", "1099511627776"];
+            assert_eq!(crate::run(&argv(&a)), 2, "{mgr}");
+        }
+    }
+
+    #[test]
+    fn gups_without_table_pages_exits_2() {
+        assert_eq!(
+            simulate_classic_exit(&["--workload", "gups", "--virt", "1"]),
+            2
+        );
+    }
+
+    #[test]
+    fn oversized_batch_is_one_chunk() {
+        assert_eq!(
+            simulate_classic_exit(&["--batch", "4611686018427387904"]),
+            0
+        );
+    }
+
+    #[test]
+    fn unknown_policy_exits_2_naming_the_kinds() {
+        for name in ["lru", "fifo", "clock", "sieve", "marking"] {
+            assert_eq!(simulate_classic_exit(&["--policy", name]), 0, "{name}");
+        }
+        for name in ["lfu", "mru", "slru", "2q", "random", "lru-2"] {
+            assert_eq!(simulate_classic_exit(&["--policy", name]), 2, "{name}");
+        }
+        let err = simulate(&argv(&["--policy", "lfu"])).unwrap_err();
+        assert!(err.0.contains("lru|fifo|clock|sieve|marking"), "{err}");
     }
 
     #[test]

@@ -4,50 +4,31 @@
 //! knows its policy at compile time instantiates `CacheSim<K, Lru>` /
 //! `Tlb<V, Sieve>` and gets fully monomorphized callbacks, while code
 //! configured from a [`PolicyKind`] (sweep drivers, CLI flags) uses
-//! `CacheSim<K, AnyPolicy>`. The four Figure-1 policies (LRU, FIFO, Clock,
-//! Sieve) are inline enum variants — dispatch is a branch-predictable
-//! `match`, not a vtable call — and every other kind falls back to the
-//! boxed trait object via [`crate::make_policy`].
+//! `CacheSim<K, AnyPolicy>`. The set is closed: every kind is an inline
+//! enum variant, so dispatch is a branch-predictable `match`, not a vtable
+//! call.
 
 use crate::clock::Clock;
 use crate::fifo::Fifo;
-use crate::lfu::Lfu;
 use crate::lru::Lru;
-use crate::lruk::LruK;
 use crate::marking::Marking;
-use crate::mru::Mru;
 use crate::policy::{Policy, PolicyBuild, PolicyKind, SlotId};
-use crate::random::RandomPolicy;
 use crate::sieve::Sieve;
-use crate::slru::Slru;
-use crate::twoq::TwoQ;
 
-/// A policy chosen at runtime. Hot kinds are inline variants; the rest are
-/// boxed. Behavior is identical to the wrapped policy in every case.
+/// A policy chosen at runtime, one inline variant per [`PolicyKind`].
+/// Behavior is identical to the wrapped policy's.
+#[derive(Debug)]
 pub enum AnyPolicy {
-    /// Least-recently used (inline).
+    /// Least-recently used.
     Lru(Lru),
-    /// First-in first-out (inline).
+    /// First-in first-out.
     Fifo(Fifo),
-    /// CLOCK / second chance (inline).
+    /// CLOCK / second chance.
     Clock(Clock),
-    /// SIEVE (inline).
+    /// SIEVE.
     Sieve(Sieve),
-    /// Any other kind, boxed.
-    Other(Box<dyn Policy>),
-}
-
-impl std::fmt::Debug for AnyPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnyPolicy::Lru(p) => f.debug_tuple("Lru").field(p).finish(),
-            AnyPolicy::Fifo(p) => f.debug_tuple("Fifo").field(p).finish(),
-            AnyPolicy::Clock(p) => f.debug_tuple("Clock").field(p).finish(),
-            AnyPolicy::Sieve(p) => f.debug_tuple("Sieve").field(p).finish(),
-            // `dyn Policy` has no Debug bound; its kind identifies it.
-            AnyPolicy::Other(p) => f.debug_tuple("Other").field(&p.kind().name()).finish(),
-        }
-    }
+    /// Randomized marking.
+    Marking(Marking),
 }
 
 impl AnyPolicy {
@@ -59,7 +40,7 @@ impl AnyPolicy {
             PolicyKind::Fifo => AnyPolicy::Fifo(Fifo::new(capacity)),
             PolicyKind::Clock => AnyPolicy::Clock(Clock::new(capacity)),
             PolicyKind::Sieve => AnyPolicy::Sieve(Sieve::new(capacity)),
-            other => AnyPolicy::Other(crate::make_policy(other, capacity, seed)),
+            PolicyKind::Marking => AnyPolicy::Marking(Marking::new(capacity, seed)),
         }
     }
 }
@@ -72,7 +53,7 @@ impl Policy for AnyPolicy {
             AnyPolicy::Fifo(p) => p.on_insert(s),
             AnyPolicy::Clock(p) => p.on_insert(s),
             AnyPolicy::Sieve(p) => p.on_insert(s),
-            AnyPolicy::Other(p) => p.on_insert(s),
+            AnyPolicy::Marking(p) => p.on_insert(s),
         }
     }
 
@@ -83,7 +64,7 @@ impl Policy for AnyPolicy {
             AnyPolicy::Fifo(p) => p.on_hit(s),
             AnyPolicy::Clock(p) => p.on_hit(s),
             AnyPolicy::Sieve(p) => p.on_hit(s),
-            AnyPolicy::Other(p) => p.on_hit(s),
+            AnyPolicy::Marking(p) => p.on_hit(s),
         }
     }
 
@@ -94,7 +75,7 @@ impl Policy for AnyPolicy {
             AnyPolicy::Fifo(p) => p.choose_victim(),
             AnyPolicy::Clock(p) => p.choose_victim(),
             AnyPolicy::Sieve(p) => p.choose_victim(),
-            AnyPolicy::Other(p) => p.choose_victim(),
+            AnyPolicy::Marking(p) => p.choose_victim(),
         }
     }
 
@@ -105,7 +86,7 @@ impl Policy for AnyPolicy {
             AnyPolicy::Fifo(p) => p.on_remove(s),
             AnyPolicy::Clock(p) => p.on_remove(s),
             AnyPolicy::Sieve(p) => p.on_remove(s),
-            AnyPolicy::Other(p) => p.on_remove(s),
+            AnyPolicy::Marking(p) => p.on_remove(s),
         }
     }
 
@@ -115,7 +96,7 @@ impl Policy for AnyPolicy {
             AnyPolicy::Fifo(p) => p.kind(),
             AnyPolicy::Clock(p) => p.kind(),
             AnyPolicy::Sieve(p) => p.kind(),
-            AnyPolicy::Other(p) => p.kind(),
+            AnyPolicy::Marking(p) => p.kind(),
         }
     }
 
@@ -125,7 +106,7 @@ impl Policy for AnyPolicy {
             AnyPolicy::Fifo(p) => p.coalesces_repeat_hits(),
             AnyPolicy::Clock(p) => p.coalesces_repeat_hits(),
             AnyPolicy::Sieve(p) => p.coalesces_repeat_hits(),
-            AnyPolicy::Other(p) => p.coalesces_repeat_hits(),
+            AnyPolicy::Marking(p) => p.coalesces_repeat_hits(),
         }
     }
 
@@ -136,7 +117,7 @@ impl Policy for AnyPolicy {
             AnyPolicy::Fifo(p) => p.touch(s),
             AnyPolicy::Clock(p) => p.touch(s),
             AnyPolicy::Sieve(p) => p.touch(s),
-            AnyPolicy::Other(p) => p.touch(s),
+            AnyPolicy::Marking(p) => p.touch(s),
         }
     }
 }
@@ -165,42 +146,6 @@ impl PolicyBuild for Sieve {
     }
 }
 
-impl PolicyBuild for Mru {
-    fn build(capacity: usize, _seed: u64) -> Self {
-        Mru::new(capacity)
-    }
-}
-
-impl PolicyBuild for Lfu {
-    fn build(capacity: usize, _seed: u64) -> Self {
-        Lfu::new(capacity)
-    }
-}
-
-impl PolicyBuild for Slru {
-    fn build(capacity: usize, _seed: u64) -> Self {
-        Slru::new(capacity)
-    }
-}
-
-impl PolicyBuild for TwoQ {
-    fn build(capacity: usize, _seed: u64) -> Self {
-        TwoQ::new(capacity)
-    }
-}
-
-impl PolicyBuild for RandomPolicy {
-    fn build(capacity: usize, seed: u64) -> Self {
-        RandomPolicy::new(capacity, seed)
-    }
-}
-
-impl PolicyBuild for LruK {
-    fn build(capacity: usize, _seed: u64) -> Self {
-        LruK::two(capacity)
-    }
-}
-
 impl PolicyBuild for Marking {
     fn build(capacity: usize, seed: u64) -> Self {
         Marking::new(capacity, seed)
@@ -210,53 +155,49 @@ impl PolicyBuild for Marking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheSim;
+    use crate::cache::{AccessResult, CacheSim};
 
-    /// AnyPolicy must replay the exact same eviction stream as the policy
-    /// it wraps, for both inline and boxed variants.
+    /// Replays `keys` through a monomorphic `CacheSim<u64, P>`: every
+    /// access's result, then the hit count.
+    fn replay<P: PolicyBuild>(
+        cap: usize,
+        seed: u64,
+        keys: &[u64],
+    ) -> (Vec<AccessResult<u64>>, u64) {
+        let mut sim: CacheSim<u64, P> = CacheSim::new(cap, P::build(cap, seed));
+        let results = keys.iter().map(|&k| sim.access(k)).collect();
+        (results, sim.hits())
+    }
+
+    /// AnyPolicy must replay the exact same eviction stream as the
+    /// monomorphic policy it wraps, for every kind.
     #[test]
     fn any_matches_wrapped_policy() {
-        for kind in PolicyKind::ALL {
-            let cap = 4;
-            let mut mono: CacheSim<u64, Box<dyn Policy>> =
-                CacheSim::new(cap, crate::make_policy(kind, cap, 42));
-            let mut any: CacheSim<u64, AnyPolicy> =
-                CacheSim::new(cap, AnyPolicy::new(kind, cap, 42));
-            let mut x: u64 = 0x9E37;
-            for _ in 0..500 {
+        let (cap, seed) = (4, 42);
+        let mut x: u64 = 0x9E37;
+        let keys: Vec<u64> = (0..500)
+            .map(|_| {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let k = (x >> 33) % 9;
-                assert_eq!(mono.access(k), any.access(k), "{kind} diverged");
-            }
-            assert_eq!(mono.hits(), any.hits());
+                (x >> 33) % 9
+            })
+            .collect();
+        for kind in PolicyKind::ALL {
+            let (mono, mono_hits) = match kind {
+                PolicyKind::Lru => replay::<Lru>(cap, seed, &keys),
+                PolicyKind::Fifo => replay::<Fifo>(cap, seed, &keys),
+                PolicyKind::Clock => replay::<Clock>(cap, seed, &keys),
+                PolicyKind::Sieve => replay::<Sieve>(cap, seed, &keys),
+                PolicyKind::Marking => replay::<Marking>(cap, seed, &keys),
+            };
+            let mut any: CacheSim<u64, AnyPolicy> =
+                CacheSim::new(cap, AnyPolicy::new(kind, cap, seed));
+            let results: Vec<_> = keys.iter().map(|&k| any.access(k)).collect();
+            assert_eq!(mono, results, "{kind} diverged");
+            assert_eq!(mono_hits, any.hits());
             assert_eq!(any.policy().kind(), kind);
         }
-    }
-
-    #[test]
-    fn inline_variants_cover_figure1_policies() {
-        assert!(matches!(
-            AnyPolicy::new(PolicyKind::Lru, 2, 0),
-            AnyPolicy::Lru(_)
-        ));
-        assert!(matches!(
-            AnyPolicy::new(PolicyKind::Fifo, 2, 0),
-            AnyPolicy::Fifo(_)
-        ));
-        assert!(matches!(
-            AnyPolicy::new(PolicyKind::Clock, 2, 0),
-            AnyPolicy::Clock(_)
-        ));
-        assert!(matches!(
-            AnyPolicy::new(PolicyKind::Sieve, 2, 0),
-            AnyPolicy::Sieve(_)
-        ));
-        assert!(matches!(
-            AnyPolicy::new(PolicyKind::Lfu, 2, 0),
-            AnyPolicy::Other(_)
-        ));
     }
 
     #[test]

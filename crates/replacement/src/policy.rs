@@ -24,10 +24,10 @@ pub type SlotId = usize;
 /// then elide the second call of a back-to-back repeat hit. Every
 /// recency/flag policy is idempotent this way (moving the list head to the
 /// front, re-setting a reference bit), but the elision bookkeeping only
-/// pays for itself when `on_hit` is genuinely expensive, so only those
-/// policies (LRU's list splice, boxed dispatch) opt in. A hit-*counting*
-/// policy would not be idempotent and must never opt in. Pinned per policy
-/// by the `atp-check` differential suites.
+/// pays for itself when `on_hit` is genuinely expensive, so only LRU (whose
+/// `on_hit` is a list splice) opts in. A hit-*counting* policy would not be
+/// idempotent and must never opt in. Pinned per policy by the `atp-check`
+/// differential suites.
 pub trait Policy: Send {
     /// Records the insertion of a new item into free slot `s`.
     fn on_insert(&mut self, s: SlotId);
@@ -65,30 +65,6 @@ pub trait PolicyBuild: Policy + Sized {
     fn build(capacity: usize, seed: u64) -> Self;
 }
 
-impl<P: Policy + ?Sized> Policy for Box<P> {
-    fn on_insert(&mut self, s: SlotId) {
-        (**self).on_insert(s)
-    }
-    fn on_hit(&mut self, s: SlotId) {
-        (**self).on_hit(s)
-    }
-    fn choose_victim(&mut self) -> SlotId {
-        (**self).choose_victim()
-    }
-    fn on_remove(&mut self, s: SlotId) {
-        (**self).on_remove(s)
-    }
-    fn kind(&self) -> PolicyKind {
-        (**self).kind()
-    }
-    fn touch(&self, s: SlotId) {
-        (**self).touch(s)
-    }
-    fn coalesces_repeat_hits(&self) -> bool {
-        (**self).coalesces_repeat_hits()
-    }
-}
-
 /// Enumeration of the online policies, for runtime configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
@@ -98,19 +74,6 @@ pub enum PolicyKind {
     Fifo,
     /// CLOCK / second chance.
     Clock,
-    /// Most-recently used (anti-LRU; pathological on locality, useful as a
-    /// worst-case comparator).
-    Mru,
-    /// Least-frequently used (O(1) frequency buckets).
-    Lfu,
-    /// Segmented LRU (probationary + protected segments).
-    Slru,
-    /// Simplified 2Q (A1in FIFO + Am LRU).
-    TwoQ,
-    /// Uniform random eviction.
-    Random,
-    /// LRU-2 (O'Neil et al.): evict by oldest second-most-recent reference.
-    LruK,
     /// SIEVE (Zhang et al.): FIFO + visited bit with a persistent hand.
     Sieve,
     /// Randomized marking (Fiat et al.): O(log k)-competitive.
@@ -119,16 +82,10 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// All kinds, for sweep experiments.
-    pub const ALL: [PolicyKind; 11] = [
+    pub const ALL: [PolicyKind; 5] = [
         PolicyKind::Lru,
         PolicyKind::Fifo,
         PolicyKind::Clock,
-        PolicyKind::Mru,
-        PolicyKind::Lfu,
-        PolicyKind::Slru,
-        PolicyKind::TwoQ,
-        PolicyKind::Random,
-        PolicyKind::LruK,
         PolicyKind::Sieve,
         PolicyKind::Marking,
     ];
@@ -139,12 +96,6 @@ impl PolicyKind {
             PolicyKind::Lru => "lru",
             PolicyKind::Fifo => "fifo",
             PolicyKind::Clock => "clock",
-            PolicyKind::Mru => "mru",
-            PolicyKind::Lfu => "lfu",
-            PolicyKind::Slru => "slru",
-            PolicyKind::TwoQ => "2q",
-            PolicyKind::Random => "random",
-            PolicyKind::LruK => "lru-2",
             PolicyKind::Sieve => "sieve",
             PolicyKind::Marking => "marking",
         }
@@ -171,6 +122,6 @@ mod tests {
     #[test]
     fn display_matches_name() {
         assert_eq!(PolicyKind::Lru.to_string(), "lru");
-        assert_eq!(PolicyKind::TwoQ.to_string(), "2q");
+        assert_eq!(PolicyKind::Marking.to_string(), "marking");
     }
 }

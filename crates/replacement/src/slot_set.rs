@@ -1,13 +1,12 @@
 //! Per-slot metadata containers shared by the policies.
 //!
 //! Every policy attaches some state to the slots of a fixed-size arena:
-//! a reference bit (CLOCK, SIEVE), a queue tag (2Q, SLRU), an access
-//! history (LRU-K), or a dense swap-removable pool of slot ids (Random,
-//! Marking). The containers here capture the two recurring shapes once,
-//! so the **arena contract** — slot ids handed to a [`Policy`] are always
-//! `< capacity`, because `CacheSim` mints them from its own fixed-size
-//! arena — is asserted in exactly one place per shape instead of at every
-//! indexing site.
+//! a reference bit (CLOCK, SIEVE), or a mark bit plus dense swap-removable
+//! pools of slot ids (Marking). The containers here capture the two shapes
+//! once, so the **arena contract** — slot ids handed to a [`Policy`] are
+//! always `< capacity`, because `CacheSim` mints them from its own
+//! fixed-size arena — is asserted in exactly one place per shape instead of
+//! at every indexing site.
 //!
 //! [`Policy`]: crate::policy::Policy
 
@@ -63,14 +62,14 @@ impl<T> SlotVec<T> {
 
 /// A dense, swap-removable set of slot ids with O(1) insert, remove,
 /// membership, and uniform indexing — the "pool + position map" idiom
-/// used by the randomized policies.
+/// randomized Marking uses.
 ///
 /// Members are stored contiguously (so a random index picks uniformly);
 /// a per-slot position map makes removal O(1) by swapping the last
 /// member into the hole. Insertion order is preserved except at removal
 /// points, and removal is *order-deterministic*: the same operation
-/// sequence always yields the same dense layout, which keeps seeded
-/// random policies reproducible.
+/// sequence always yields the same dense layout, which keeps a seeded
+/// policy's victims reproducible.
 #[derive(Clone, Debug)]
 pub struct SlotPool {
     dense: Vec<SlotId>,
@@ -182,7 +181,7 @@ mod tests {
     #[test]
     fn pool_swap_remove_is_order_deterministic() {
         // Removing a middle member swaps the last into its hole — the
-        // layout randomized policies rely on for seed reproducibility.
+        // layout Marking relies on for seed reproducibility.
         let mut p = SlotPool::with_capacity(6);
         for s in [0usize, 1, 2, 3] {
             p.insert(s);

@@ -14,6 +14,11 @@ use atp_types::{Costs, ProfSink, VirtPage};
 /// Default batch size for [`run`] (pages per chunk).
 pub const DEFAULT_BATCH: usize = 4096;
 
+/// Most pages a driver reserves for its chunk buffer up front. The buffer
+/// grows on demand, so an oversized batch allocates only for the pages
+/// the trace actually supplies.
+pub(crate) const MAX_CHUNK_RESERVE: usize = 1 << 16;
+
 /// Result of one simulation run.
 ///
 /// Deliberately wall-clock-free: a `SimStats` is a pure function of
@@ -95,7 +100,7 @@ fn run_phases<M: MemoryManager + ?Sized>(
 ) -> SimStats {
     assert!(batch > 0, "batch size must be positive");
     let mut iter = trace.into_iter();
-    let mut buf = Vec::with_capacity(batch);
+    let mut buf = Vec::with_capacity(batch.min(MAX_CHUNK_RESERVE));
     drive(mgr, &mut iter, warmup, batch, &mut buf, &mut service);
     let warmup_costs = mgr.costs();
     mgr.reset_costs();

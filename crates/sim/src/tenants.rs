@@ -17,7 +17,7 @@
 use atp_memmgmt::TenantManager;
 use atp_types::{Asid, Costs, TenantOp, VirtPage};
 
-use crate::runner::DEFAULT_BATCH;
+use crate::runner::{DEFAULT_BATCH, MAX_CHUNK_RESERVE};
 
 /// Result of one multi-tenant run.
 ///
@@ -251,7 +251,7 @@ fn drive<M: TenantManager + ?Sized>(
     let mut counts = PhaseCounts::default();
     let mut remaining = quota;
     let mut chunk = 0usize;
-    let mut buf: Vec<VirtPage> = Vec::with_capacity(batch.min(1 << 16));
+    let mut buf: Vec<VirtPage> = Vec::with_capacity(batch.min(MAX_CHUNK_RESERVE));
     while remaining > 0 {
         let Some(op) = iter.next() else { break };
         match op {

@@ -211,10 +211,8 @@ impl<V, P: Policy, K: TlbKey> Tlb<V, P, K> {
     /// Panics if `u` is already resident (use [`Tlb::update`] to change a
     /// resident value).
     pub fn insert(&mut self, u: K, value: V) -> Option<(K, V)> {
-        // atp-lint: allow(no-panic-hotpath, reason = "documented `# Panics` contract: double-insert of a resident key is a caller bug that must fail fast")
-        assert!(!self.sim.contains(&u), "insert of resident TLB entry");
-        self.stats.inserts += 1;
         let evicted = self.sim.insert_cold_with(u, value);
+        self.stats.inserts += 1;
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
@@ -509,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "insert of resident TLB entry")]
+    #[should_panic(expected = "insert_cold on resident key")]
     fn double_insert_panics() {
         let mut tlb: Tlb<u64> = Tlb::lru(2);
         tlb.insert(VirtHugePage(1), 1);

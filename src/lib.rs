@@ -54,7 +54,7 @@
 //! | [`types`] | page ids, parameters, the ε/1 cost model |
 //! | [`hash`] | seeded deterministic hashing & counter RNG |
 //! | [`ballsbins`] | one-choice / Greedy\[d\] / Iceberg\[d\] games |
-//! | [`replacement`] | LRU, FIFO, CLOCK, …, Belady OPT |
+//! | [`replacement`] | LRU, FIFO, CLOCK, SIEVE, Marking, Belady OPT |
 //! | [`pagetable`] | radix & hashed page tables with walk costs |
 //! | [`tlb`] | fully/set-associative and split TLB models |
 //! | [`core`] | **the contribution**: allocators, encodings, scheme |

@@ -1,14 +1,14 @@
 //! Cross-crate properties: Belady dominance over every online policy, and
 //! trace-codec round-trips over real workload output.
 
-use atp::replacement::{make_policy, opt::opt_misses, CacheSim, PolicyKind};
+use atp::replacement::{opt::opt_misses, AnyPolicy, CacheSim, PolicyKind};
 use atp::trace::{decode_trace, encode_trace, TraceStats};
 use atp::types::VirtPage;
 use atp::workloads::{Bimodal, ParetoWalk, PhasedWorkingSet, Zipfian};
 use atp_check::{check, check_config, ensure, ensure_eq, u64s, usizes, vecs, Config};
 
 fn online_misses(trace: &[u64], cap: usize, kind: PolicyKind) -> u64 {
-    let mut sim = CacheSim::new(cap, make_policy(kind, cap, 7));
+    let mut sim = CacheSim::new(cap, AnyPolicy::new(kind, cap, 7));
     let mut misses = 0;
     for &k in trace {
         misses += u64::from(!sim.access(k).is_hit());
