@@ -85,6 +85,18 @@ impl Args {
         Err(ArgError(format!("unknown option(s): {}", list.join(", "))))
     }
 
+    /// Errors on any positional argument, for subcommands that take only
+    /// options: a stray word (`atp simulate zipf`) would otherwise be
+    /// ignored and the run would go ahead on the defaults.
+    pub fn reject_positionals(&self) -> Result<(), ArgError> {
+        match self.positional.first() {
+            None => Ok(()),
+            Some(p) => Err(ArgError(format!(
+                "unexpected argument {p:?}: this subcommand takes only --options"
+            ))),
+        }
+    }
+
     /// Whether a boolean flag was passed.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
@@ -220,6 +232,17 @@ mod tests {
         let a = Args::parse(&argv(&["--observe"]), &["observe"]).unwrap();
         assert!(a.check_known(&[]).is_err());
         a.check_known(&["observe"]).unwrap();
+    }
+
+    #[test]
+    fn reject_positionals_names_the_first_one() {
+        let a = Args::parse(&argv(&["--seed", "1", "zipf", "x"]), &[]).unwrap();
+        let err = a.reject_positionals().unwrap_err();
+        assert!(err.0.contains("\"zipf\""), "{err}");
+        Args::parse(&argv(&["--seed", "1"]), &[])
+            .unwrap()
+            .reject_positionals()
+            .unwrap();
     }
 
     #[test]

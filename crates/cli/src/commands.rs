@@ -123,11 +123,13 @@ const COMMON_OPTS: &[&str] = &[
     "edge-factor",
 ];
 
-/// `check_known` against [`COMMON_OPTS`] plus the subcommand's own options.
+/// `check_known` against [`COMMON_OPTS`] plus the subcommand's own
+/// options; these subcommands take no positional arguments.
 fn check_opts(args: &Args, extra: &[&str]) -> Result<(), ArgError> {
     let mut known: Vec<&str> = COMMON_OPTS.to_vec();
     known.extend_from_slice(extra);
-    args.check_known(&known)
+    args.check_known(&known)?;
+    args.reject_positionals()
 }
 
 /// Writes an export artifact, wrapping IO errors with the path.
@@ -312,8 +314,9 @@ fn common(args: &Args) -> Result<Common, ArgError> {
 }
 
 /// Builds a manager as a pipeline over `obs`. The observer is generic so
-/// the default build pays nothing ([`NoopObserver`]) while `--observe`
-/// attaches a [`SharedRecorder`] without a separate construction path.
+/// the default build pays nothing ([`NoopObserver`]) while `--observe` and
+/// the export flags attach a `Shared<RunObserver>` without a separate
+/// construction path.
 fn build_observed<O: SimObserver + 'static>(
     name: &str,
     c: &Common,
@@ -487,6 +490,14 @@ pub fn simulate(raw: &[String]) -> Result<(), ArgError> {
         costs.decode_cost(c.model)
     );
     println!("wall time:      {wall:.2?}");
+    let served = stats.warmup_costs.accesses + costs.accesses;
+    let secs = wall.as_secs_f64();
+    let rate = if secs > 0.0 {
+        served as f64 / secs
+    } else {
+        0.0
+    };
+    println!("rate:           {rate:.0} acc/s (warmup + measured)");
     if let Some(obs) = &observer {
         // The observer sees warmup as well as measurement — useful for the
         // cold-start transient the Costs report excludes.
@@ -1204,6 +1215,7 @@ pub fn bench_cmd(raw: &[String]) -> Result<(), ArgError> {
 pub fn calibrate(raw: &[String]) -> Result<(), ArgError> {
     let args = Args::parse(raw, &["virtualized"])?;
     args.check_known(&["device", "virtualized", "walk-ns", "io-ns"])?;
+    args.reject_positionals()?;
     let device = args.get_or("device", "nvme");
     let mut m = match device {
         "nvme" => LatencyModel::nvme_native(),
@@ -1584,6 +1596,51 @@ mod tests {
         assert_eq!(crate::run(&argv(&["help"])), 0);
         assert_eq!(crate::run(&argv(&["bogus"])), 2);
         assert_eq!(crate::run(&[]), 2);
+    }
+
+    const SUBCOMMANDS: [&str; 7] = [
+        "simulate",
+        "sweep",
+        "tenants",
+        "multicore",
+        "trace",
+        "bench",
+        "calibrate",
+    ];
+
+    #[test]
+    fn long_help_after_a_subcommand_exits_0() {
+        for cmd in SUBCOMMANDS {
+            assert_eq!(crate::run(&argv(&[cmd, "--help"])), 0, "{cmd} --help");
+        }
+    }
+
+    #[test]
+    fn short_help_after_a_subcommand_exits_0() {
+        for cmd in SUBCOMMANDS {
+            assert_eq!(crate::run(&argv(&[cmd, "-h"])), 0, "{cmd} -h");
+        }
+    }
+
+    #[test]
+    fn help_anywhere_after_a_subcommand_runs_nothing() {
+        // `--phys 0` would exit 2 if anything were parsed or run.
+        assert_eq!(simulate_classic_exit(&["--phys", "0", "--help"]), 0);
+        assert_eq!(simulate_classic_exit(&["--phys", "0", "-h"]), 0);
+        assert_eq!(crate::run(&argv(&["trace", "record", "-h"])), 0);
+    }
+
+    #[test]
+    fn stray_positional_exits_2() {
+        for a in [
+            &["simulate", "--accesses", "1k", "stray"][..],
+            &["sweep", "--accesses", "1k", "stray"],
+            &["tenants", "--accesses", "1k", "stray"],
+            &["multicore", "--accesses", "1k", "stray"],
+            &["calibrate", "stray"],
+        ] {
+            assert_eq!(crate::run(&argv(a)), 2, "{a:?}");
+        }
     }
 
     /// Exit code of `atp simulate --manager classic` plus `extra`.

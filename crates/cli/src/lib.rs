@@ -37,23 +37,30 @@ pub fn run(argv: &[String]) -> i32 {
         return 2;
     };
     let rest = &argv[1..];
-    let result = match cmd {
-        "simulate" => commands::simulate(rest),
-        "sweep" => commands::sweep_cmd(rest),
-        "tenants" => commands::tenants_cmd(rest),
-        "multicore" => commands::multicore_cmd(rest),
-        "trace" => commands::trace_cmd(rest),
-        "bench" => commands::bench_cmd(rest),
-        "calibrate" => commands::calibrate(rest),
+    let subcommand: fn(&[String]) -> Result<(), ArgError> = match cmd {
+        "simulate" => commands::simulate,
+        "sweep" => commands::sweep_cmd,
+        "tenants" => commands::tenants_cmd,
+        "multicore" => commands::multicore_cmd,
+        "trace" => commands::trace_cmd,
+        "bench" => commands::bench_cmd,
+        "calibrate" => commands::calibrate,
         "help" | "--help" | "-h" => {
             println!("{}", commands::USAGE);
-            Ok(())
+            return 0;
         }
-        other => Err(ArgError(format!(
-            "unknown subcommand {other:?}; try `atp help`"
-        ))),
+        other => {
+            eprintln!("error: unknown subcommand {other:?}; try `atp help`");
+            return 2;
+        }
     };
-    match result {
+    // `--help` or `-h` anywhere after a subcommand asks for the usage;
+    // nothing runs.
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", commands::USAGE);
+        return 0;
+    }
+    match subcommand(rest) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {e}");

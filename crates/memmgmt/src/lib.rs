@@ -48,8 +48,8 @@ pub use classic::ClassicMm;
 pub use decoupled::DecoupledMm;
 pub use hybrid::HybridMm;
 pub use observe::{
-    latency_classes, EvictionEvent, LatencyClass, NoopObserver, Recorder, SharedRecorder,
-    SimObserver, StageCounters, TlbEvent,
+    latency_classes, EvictionEvent, LatencyClass, NoopObserver, Recorder, SimObserver,
+    StageCounters, TlbEvent,
 };
 pub use only::{PagingOnlyMm, VirtualOnlyMm};
 pub use pipeline::{Pipeline, Stages, TlbProbe};

@@ -9,15 +9,12 @@
 //!
 //! [`Recorder`] is the batteries-included observer: per-stage counters plus
 //! reuse-distance and access-latency histograms, cheap enough to leave on
-//! for full Figure-1 runs. [`SharedRecorder`] wraps it in `Rc<RefCell>` so
-//! a caller can keep a handle while the pipeline owns the observer (the
-//! `atp --observe` flag uses this through `Box<dyn MemoryManager>`).
+//! for full Figure-1 runs. `atp-obs` adds the shared handle and the
+//! composed run observer the CLI attaches.
 
 use crate::traits::AccessReport;
 use atp_hash::FxHashMap;
 use atp_types::VirtPage;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// An event at the TLB stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,6 +63,21 @@ pub trait SimObserver {
     /// The driver finished a batch of `len` accesses (streaming runners
     /// call this at every chunk boundary; single accesses never do).
     fn on_batch_boundary(&mut self, _len: usize) {}
+
+    /// A batched driver retired `vs` in one step as a run of pure hits:
+    /// each page, in order, hit the TLB, took no IO and no decode miss,
+    /// and raised no stage event, so its report is
+    /// `AccessReport::default()`. The default replays the per-access
+    /// epilogue of each page — `on_tlb_event(Hit)`, then `on_access` —
+    /// so an observer that does not override it sees exactly what
+    /// per-access driving shows it. An override must leave the same
+    /// state behind.
+    fn on_hit_run(&mut self, vs: &[VirtPage]) {
+        for &v in vs {
+            self.on_tlb_event(TlbEvent::Hit);
+            self.on_access(v, AccessReport::default());
+        }
+    }
 }
 
 /// The zero-cost default observer.
@@ -281,6 +293,25 @@ fn render_hist(hist: &[u64]) -> String {
     }
 }
 
+impl Recorder {
+    /// Records the reuse distance of a touch of `v` at the current clock
+    /// (a no-op without reuse tracking).
+    #[inline]
+    fn note_reuse(&mut self, v: VirtPage) {
+        if !self.track_reuse {
+            return;
+        }
+        match self.last_touch.insert(v.0, self.clock) {
+            None => self.cold_accesses += 1,
+            Some(prev) => {
+                let dist = self.clock - prev;
+                let bucket = (64 - dist.leading_zeros()).saturating_sub(1) as usize;
+                self.reuse_hist[bucket.min(HIST_BUCKETS - 1)] += 1;
+            }
+        }
+    }
+}
+
 impl SimObserver for Recorder {
     fn on_access(&mut self, v: VirtPage, report: AccessReport) {
         self.latency_hist[LatencyClass::of(report).index()] += 1;
@@ -293,17 +324,22 @@ impl SimObserver for Recorder {
         if report.paging_failure {
             self.counters.paging_failures += 1;
         }
-        if self.track_reuse {
-            match self.last_touch.insert(v.0, self.clock) {
-                None => self.cold_accesses += 1,
-                Some(prev) => {
-                    let dist = self.clock - prev;
-                    let bucket = (64 - dist.leading_zeros()).saturating_sub(1) as usize;
-                    self.reuse_hist[bucket.min(HIST_BUCKETS - 1)] += 1;
-                }
-            }
-        }
+        self.note_reuse(v);
         self.clock += 1;
+    }
+
+    /// Every page of the run is a free TLB and residency hit, so the
+    /// counters move by the run length at once; reuse distances still
+    /// take one map update per page, in order.
+    fn on_hit_run(&mut self, vs: &[VirtPage]) {
+        let n = vs.len() as u64;
+        self.counters.tlb_hits += n;
+        self.counters.residency_hits += n;
+        self.latency_hist[LatencyClass::Free.index()] += n;
+        for &v in vs {
+            self.note_reuse(v);
+            self.clock += 1;
+        }
     }
 
     fn on_tlb_event(&mut self, event: TlbEvent) {
@@ -329,85 +365,10 @@ impl SimObserver for Recorder {
     }
 }
 
-/// A [`Recorder`] behind `Rc<RefCell>`: clone one handle into the pipeline
-/// and keep another to read results after the run, even when the pipeline
-/// is owned as a `Box<dyn MemoryManager>`.
-#[derive(Clone, Debug, Default)]
-pub struct SharedRecorder(Rc<RefCell<Recorder>>);
-
-impl SharedRecorder {
-    /// Creates a fresh shared recorder.
-    pub fn new() -> Self {
-        SharedRecorder(Rc::new(RefCell::new(Recorder::new())))
-    }
-
-    /// Runs `f` on the inner recorder.
-    pub fn with<R>(&self, f: impl FnOnce(&Recorder) -> R) -> R {
-        f(&self.0.borrow())
-    }
-
-    /// Clones out the inner recorder's current state.
-    pub fn snapshot(&self) -> Recorder {
-        self.0.borrow().clone()
-    }
-}
-
-impl SimObserver for SharedRecorder {
-    fn on_access(&mut self, v: VirtPage, report: AccessReport) {
-        self.0.borrow_mut().on_access(v, report);
-    }
-
-    fn on_tlb_event(&mut self, event: TlbEvent) {
-        self.0.borrow_mut().on_tlb_event(event);
-    }
-
-    fn on_eviction(&mut self, event: EvictionEvent) {
-        self.0.borrow_mut().on_eviction(event);
-    }
-
-    fn on_decode_miss(&mut self, v: VirtPage) {
-        self.0.borrow_mut().on_decode_miss(v);
-    }
-
-    fn on_batch_boundary(&mut self, len: usize) {
-        self.0.borrow_mut().on_batch_boundary(len);
-    }
-}
-
 /// Sums per-class latency counts into the model's total cost (for checks
 /// and reports; exact when no access mixes classes unexpectedly).
 pub fn latency_classes() -> [LatencyClass; 4] {
     LatencyClass::ALL
-}
-
-/// Observer composition: a pair forwards every event to both halves, so a
-/// run can capture, say, counters *and* a structured event trace without a
-/// bespoke combined observer. Nest pairs for more: `(a, (b, c))`.
-impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
-    fn on_access(&mut self, v: VirtPage, report: AccessReport) {
-        self.0.on_access(v, report);
-        self.1.on_access(v, report);
-    }
-
-    fn on_tlb_event(&mut self, event: TlbEvent) {
-        self.0.on_tlb_event(event);
-        self.1.on_tlb_event(event);
-    }
-
-    fn on_eviction(&mut self, event: EvictionEvent) {
-        self.0.on_eviction(event);
-        self.1.on_eviction(event);
-    }
-
-    fn on_decode_miss(&mut self, v: VirtPage) {
-        self.0.on_decode_miss(v);
-        self.1.on_decode_miss(v);
-    }
-
-    fn on_batch_boundary(&mut self, len: usize) {
-        self.0.on_batch_boundary(len);
-        self.1.on_batch_boundary(len);
-    }
 }
 
 #[cfg(test)]
@@ -483,15 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_recorder_survives_moves() {
-        let shared = SharedRecorder::new();
-        let mut handle = shared.clone();
-        handle.on_access(VirtPage(1), report(true, 0, false));
-        assert_eq!(shared.with(|r| r.accesses()), 1);
-        assert_eq!(shared.snapshot().latency_class(LatencyClass::Epsilon), 1);
-    }
-
-    #[test]
     fn without_reuse_tracking_skips_the_map() {
         let mut r = Recorder::without_reuse_tracking();
         assert!(!r.tracks_reuse());
@@ -520,24 +472,57 @@ mod tests {
     }
 
     #[test]
-    fn pair_observer_feeds_both_halves() {
-        let mut pair = (Recorder::new(), Recorder::without_reuse_tracking());
-        pair.on_tlb_event(TlbEvent::Miss);
-        pair.on_eviction(EvictionEvent { unit: 1, pages: 4 });
-        pair.on_decode_miss(VirtPage(2));
-        pair.on_access(VirtPage(0), report(true, 1, false));
-        pair.on_batch_boundary(1);
-        for r in [&pair.0, &pair.1] {
-            let c = r.counters();
-            assert_eq!(c.tlb_misses, 1);
-            assert_eq!(c.evictions, 1);
-            assert_eq!(c.decode_misses, 1);
-            assert_eq!(c.faults, 1);
-            assert_eq!(c.batches, 1);
-            assert_eq!(r.accesses(), 1);
+    fn hit_run_matches_the_per_lane_epilogue() {
+        for mut lanes in [Recorder::new(), Recorder::without_reuse_tracking()] {
+            let mut runs = lanes.clone();
+            let pages: Vec<VirtPage> = [4u64, 4, 9, 1, 4, 9, 700, 1]
+                .iter()
+                .map(|&p| VirtPage(p))
+                .collect();
+            runs.on_access(VirtPage(9), report(true, 1, false));
+            lanes.on_access(VirtPage(9), report(true, 1, false));
+            runs.on_hit_run(&pages[..5]);
+            runs.on_hit_run(&[]);
+            runs.on_hit_run(&pages[5..]);
+            for &v in &pages {
+                lanes.on_tlb_event(TlbEvent::Hit);
+                lanes.on_access(v, AccessReport::default());
+            }
+            assert_eq!(runs.counters(), lanes.counters());
+            assert_eq!(runs.reuse_histogram(), lanes.reuse_histogram());
+            assert_eq!(runs.cold_accesses(), lanes.cold_accesses());
+            assert_eq!(runs.accesses(), lanes.accesses());
+            for class in latency_classes() {
+                assert_eq!(runs.latency_class(class), lanes.latency_class(class));
+            }
         }
-        assert_eq!(pair.0.cold_accesses(), 1);
-        assert_eq!(pair.1.cold_accesses(), 0);
+    }
+
+    #[test]
+    fn default_hit_run_replays_each_lane() {
+        /// Logs the callbacks it receives, keeping the default run hook.
+        #[derive(Default)]
+        struct Log(Vec<String>);
+        impl SimObserver for Log {
+            fn on_access(&mut self, v: VirtPage, report: AccessReport) {
+                self.0.push(format!("access {} {report:?}", v.0));
+            }
+            fn on_tlb_event(&mut self, event: TlbEvent) {
+                self.0.push(format!("{event:?}"));
+            }
+        }
+        let mut log = Log::default();
+        log.on_hit_run(&[VirtPage(3), VirtPage(1)]);
+        let free = AccessReport::default();
+        assert_eq!(
+            log.0,
+            [
+                "Hit".to_string(),
+                format!("access 3 {free:?}"),
+                "Hit".to_string(),
+                format!("access 1 {free:?}"),
+            ]
+        );
     }
 
     #[test]

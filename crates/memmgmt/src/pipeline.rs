@@ -21,7 +21,7 @@
 //! probe/tally plumbing lives here, once.
 
 use crate::observe::{NoopObserver, SimObserver, TlbEvent};
-use crate::traits::{tally, AccessReport, MemoryManager};
+use crate::traits::{tally, tally_hits, AccessReport, MemoryManager};
 use atp_replacement::LANES;
 use atp_types::{Costs, NoProf, ProfSink, StageOp, VirtPage};
 
@@ -168,8 +168,9 @@ impl<S: Stages, O: SimObserver> Pipeline<S, O> {
     /// ([`Stages::retire_batch`]), and replay the rest in order through
     /// the normal staged path. Bit-for-bit equivalent to per-access
     /// [`MemoryManager::access`], including the observer event stream: a
-    /// pure hit emits no stage events either way, so the fast path
-    /// reproduces the pipeline-level `Hit` + access report verbatim.
+    /// pure hit emits no stage events either way, so the fast path hands
+    /// the retired run to [`SimObserver::on_hit_run`], whose contract is
+    /// the pipeline-level `Hit` + access report of each page in order.
     ///
     /// `prof` receives, per window, the fast-path occupancy and the
     /// per-stage op counts (every lane is prepared; retired lanes skip
@@ -198,12 +199,12 @@ impl<S: Stages, O: SimObserver> Pipeline<S, O> {
                     prof.stage_op(StageOp::Translate, replayed);
                 }
             }
-            for &v in &sub[..retired] {
-                // The per-access epilogue of a pure hit: `report` stays at
-                // its default (no miss, no IOs, no decode miss).
-                self.observer.on_tlb_event(TlbEvent::Hit);
-                tally(&mut self.costs, AccessReport::default());
-                self.observer.on_access(v, AccessReport::default());
+            if retired > 0 {
+                // The per-access epilogue of a pure hit, once for the run:
+                // every report is the default (no miss, no IOs, no decode
+                // miss).
+                tally_hits(&mut self.costs, retired as u64);
+                self.observer.on_hit_run(&sub[..retired]);
             }
             for &v in &sub[retired..] {
                 self.access(v);

@@ -21,7 +21,7 @@
 //! context-switch-aware driver runs against.
 
 use crate::observe::{EvictionEvent, NoopObserver, SimObserver, TlbEvent};
-use crate::traits::{tally, AccessReport, MemoryManager};
+use crate::traits::{tally, tally_hits, AccessReport, MemoryManager};
 use atp_hash::FxHashMap;
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind, LANES};
 use atp_tlb::AsidTlb;
@@ -403,9 +403,10 @@ impl<O: SimObserver> TenantManager for TenantMm<O> {
     // keys) and the ASID TLB (private + global keys), then retire the
     // leading run that hit *both* — a pure hit takes no IO, evicts
     // nothing, shoots down nothing, and emits no stage events, so each
-    // structure taking its hits in lane order, then the per-lane
-    // epilogue, is bit-for-bit the sequential outcome. Lanes from the
-    // first non-hit replay through [`TenantManager::access`].
+    // structure taking its hits in lane order, then the run's epilogue
+    // (one tally each, one `on_hit_run`), is bit-for-bit the sequential
+    // outcome. Lanes from the first non-hit replay through
+    // [`TenantManager::access`].
     fn access_batch(&mut self, asid: Asid, vs: &[VirtPage]) {
         for sub in vs.chunks(LANES) {
             let n = sub.len();
@@ -423,14 +424,10 @@ impl<O: SimObserver> TenantManager for TenantMm<O> {
             ram.truncate(run);
             self.ram.retire_hit_run(&ram);
             self.tlb.retire_hit_run(&tlb);
-            for &v in &sub[..run] {
-                self.observer.on_tlb_event(TlbEvent::Hit);
-                tally(&mut self.costs, AccessReport::default());
-                tally(
-                    self.per_tenant.entry(asid.0).or_default(),
-                    AccessReport::default(),
-                );
-                self.observer.on_access(v, AccessReport::default());
+            if run > 0 {
+                tally_hits(&mut self.costs, run as u64);
+                tally_hits(self.per_tenant.entry(asid.0).or_default(), run as u64);
+                self.observer.on_hit_run(&sub[..run]);
             }
             for &v in &sub[run..] {
                 self.access(asid, v);

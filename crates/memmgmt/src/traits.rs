@@ -106,6 +106,13 @@ pub fn tally(costs: &mut Costs, r: AccessReport) {
     }
 }
 
+/// Folds a run of `n` pure hits into a [`Costs`] tally: the same as `n`
+/// calls of [`tally`] with `AccessReport::default()`, in one step.
+pub fn tally_hits(costs: &mut Costs, n: u64) {
+    costs.accesses += n;
+    costs.tlb_hits += n;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,5 +144,16 @@ mod tests {
         assert_eq!(c.tlb_hits, 1);
         assert_eq!(c.decode_misses, 1);
         assert_eq!(c.paging_failures, 1);
+    }
+
+    #[test]
+    fn tally_hits_is_n_default_tallies() {
+        let mut one_by_one = Costs::default();
+        for _ in 0..5 {
+            tally(&mut one_by_one, AccessReport::default());
+        }
+        let mut run = Costs::default();
+        tally_hits(&mut run, 5);
+        assert_eq!(run, one_by_one);
     }
 }

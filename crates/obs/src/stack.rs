@@ -1,12 +1,13 @@
 //! Observer composition for runs that want several captures at once.
 //!
-//! [`Shared<T>`] is the generic version of the memmgmt crate's
-//! `SharedRecorder`: clone one handle into the pipeline (which owns its
-//! observer) and keep another to read results after the run. [`RunObserver`]
-//! bundles the three capture layers a CLI run can request — counters
-//! ([`Recorder`]), structured events ([`EventLog`]), and windowed time
-//! series ([`Windowed`]) — behind one `SimObserver`, with the unused layers
-//! as `None`.
+//! [`Shared<T>`] is a cloneable `Rc<RefCell>` handle to any observer: clone
+//! one handle into the pipeline (which owns its observer) and keep another
+//! to read results after the run. [`RunObserver`] bundles the three capture
+//! layers a CLI run can request — counters ([`Recorder`]), structured
+//! events ([`EventLog`]), and windowed time series ([`Windowed`]) — behind
+//! one `SimObserver`, with the unused layers as `None`. Both forward a
+//! retired hit run ([`SimObserver::on_hit_run`]) whole, so a batched run
+//! pays one borrow and one dispatch per run rather than per access.
 
 use crate::event::{EventKind, EventLog};
 use crate::phase::PhaseConfig;
@@ -62,6 +63,10 @@ impl<T: SimObserver> SimObserver for Shared<T> {
 
     fn on_batch_boundary(&mut self, len: usize) {
         self.0.borrow_mut().on_batch_boundary(len);
+    }
+
+    fn on_hit_run(&mut self, vs: &[VirtPage]) {
+        self.0.borrow_mut().on_hit_run(vs);
     }
 }
 
@@ -177,6 +182,22 @@ impl SimObserver for RunObserver {
             w.on_batch_boundary(len);
         }
     }
+
+    fn on_hit_run(&mut self, vs: &[VirtPage]) {
+        if self.events.is_some() {
+            // Every hit is a stamped event, and phase boundaries close
+            // between them: deliver lane by lane.
+            for &v in vs {
+                self.on_tlb_event(TlbEvent::Hit);
+                self.on_access(v, AccessReport::default());
+            }
+            return;
+        }
+        self.recorder.on_hit_run(vs);
+        if let Some(w) = &mut self.windowed {
+            w.on_hit_run(vs);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -262,6 +283,60 @@ mod tests {
         let w = obs.windowed.as_ref().unwrap();
         assert_eq!(w.detector().unwrap().boundaries().len(), 1);
         assert!(w.to_csv().lines().next().unwrap().ends_with(",phase"));
+    }
+
+    /// A run observer with every layer the CLI can attach.
+    fn full_stack(events: bool) -> RunObserver {
+        let obs = RunObserver::new(Recorder::new()).with_window(4, 0.01);
+        let obs = if events { obs.with_events(256) } else { obs };
+        obs.with_phases(PhaseConfig {
+            warm_windows: 1,
+            abs_floor_ppm: 1,
+            rel_pct: 1,
+        })
+    }
+
+    #[test]
+    fn shared_run_observer_takes_hit_runs_as_lanes() {
+        for events in [false, true] {
+            let runs = Shared::new(full_stack(events));
+            let lanes = Shared::new(full_stack(events));
+            let (mut r, mut l) = (runs.clone(), lanes.clone());
+            let mut page = 0u64;
+            for n in [3u64, 0, 7, 1, 9] {
+                let vs: Vec<VirtPage> = (page..page + n).map(|p| VirtPage(p % 5)).collect();
+                r.on_hit_run(&vs);
+                for &v in &vs {
+                    l.on_tlb_event(TlbEvent::Hit);
+                    l.on_access(v, AccessReport::default());
+                }
+                r.on_tlb_event(TlbEvent::Miss);
+                r.on_access(VirtPage(page), miss_report());
+                l.on_tlb_event(TlbEvent::Miss);
+                l.on_access(VirtPage(page), miss_report());
+                page += n + 1;
+            }
+            let (a, b) = (
+                runs.with(RunObserver::clone),
+                lanes.with(RunObserver::clone),
+            );
+            assert_eq!(a.recorder.counters(), b.recorder.counters());
+            assert_eq!(a.recorder.reuse_histogram(), b.recorder.reuse_histogram());
+            assert_eq!(a.recorder.cold_accesses(), b.recorder.cold_accesses());
+            assert_eq!(a.recorder.accesses(), b.recorder.accesses());
+            assert_eq!(a.recorder.summary(), b.recorder.summary());
+            let (wa, wb) = (a.windowed.unwrap(), b.windowed.unwrap());
+            assert_eq!(wa.to_csv(), wb.to_csv());
+            assert_eq!(
+                wa.detector().unwrap().boundaries(),
+                wb.detector().unwrap().boundaries()
+            );
+            assert_eq!(
+                a.events.map(|e| e.to_jsonl()),
+                b.events.map(|e| e.to_jsonl()),
+                "events attached: {events}"
+            );
+        }
     }
 
     #[test]

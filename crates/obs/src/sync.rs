@@ -1,11 +1,11 @@
 //! A thread-safe recorder for concurrent drivers.
 //!
-//! [`SharedRecorder`](atp_memmgmt::SharedRecorder) is `Rc`-based and
-//! single-threaded; `run_multicore` and `atp_sim::sweep` need an observer
-//! whose clones can be handed to worker threads. [`SyncRecorder`] wraps a
-//! [`Recorder`] in `Arc<Mutex<…>>`: clone one handle per worker, read the
-//! aggregate after the join. Lock traffic only exists when observation is
-//! requested — unobserved runs keep the zero-cost `NoopObserver` path.
+//! [`Shared`](crate::Shared) is `Rc`-based and single-threaded;
+//! `run_multicore` and `atp_sim::sweep` need an observer whose clones can
+//! be handed to worker threads. [`SyncRecorder`] wraps a [`Recorder`] in
+//! `Arc<Mutex<…>>`: clone one handle per worker, read the aggregate after
+//! the join. Lock traffic only exists when observation is requested —
+//! unobserved runs keep the zero-cost `NoopObserver` path.
 
 use atp_memmgmt::{AccessReport, EvictionEvent, Recorder, SimObserver, TlbEvent};
 use atp_types::VirtPage;

@@ -180,6 +180,30 @@ impl Windowed {
     }
 }
 
+impl Windowed {
+    /// Closes the in-progress window if it is full: feeds the detector,
+    /// stores the row and opens the next window at the current clock.
+    fn close_if_full(&mut self) {
+        if self.cur.accesses < self.window {
+            return;
+        }
+        let mut done = self.cur;
+        if let Some(d) = &mut self.detector {
+            // A window that deviates opens the new phase itself, so
+            // feed first, then stamp with the (possibly bumped) id.
+            d.on_window(done.index, done.start, done.miss_rate_ppm());
+            done.phase = d.phase();
+        }
+        self.rows.push(done);
+        self.cur = WindowRow {
+            index: done.index + 1,
+            start: self.clock,
+            phase: done.phase,
+            ..WindowRow::default()
+        };
+    }
+}
+
 impl SimObserver for Windowed {
     fn on_access(&mut self, _v: VirtPage, report: AccessReport) {
         self.cur.accesses += 1;
@@ -194,21 +218,20 @@ impl SimObserver for Windowed {
             self.cur.ios += report.ios;
         }
         self.clock += 1;
-        if self.cur.accesses == self.window {
-            let mut done = self.cur;
-            if let Some(d) = &mut self.detector {
-                // A window that deviates opens the new phase itself, so
-                // feed first, then stamp with the (possibly bumped) id.
-                d.on_window(done.index, done.start, done.miss_rate_ppm());
-                done.phase = d.phase();
-            }
-            self.rows.push(done);
-            self.cur = WindowRow {
-                index: done.index + 1,
-                start: self.clock,
-                phase: done.phase,
-                ..WindowRow::default()
-            };
+        self.close_if_full();
+    }
+
+    /// A pure hit only counts as an access, so the run is added in bulk up
+    /// to each window edge, and each full window closes exactly as in
+    /// [`Windowed::on_access`].
+    fn on_hit_run(&mut self, vs: &[VirtPage]) {
+        let mut left = vs.len() as u64;
+        while left > 0 {
+            let take = left.min(self.window - self.cur.accesses);
+            self.cur.accesses += take;
+            self.clock += take;
+            left -= take;
+            self.close_if_full();
         }
     }
 
@@ -345,6 +368,70 @@ mod tests {
         assert!(w.to_csv().lines().next().unwrap().ends_with(",phase"));
         w.on_access(VirtPage(0), report(false, 0));
         assert!(w.to_csv().lines().nth(1).unwrap().ends_with(",0"));
+    }
+
+    /// Feeds `segments` — a hit run of `n` pages for `Some(n)`, one TLB
+    /// miss for `None` — to one window as runs and to another lane by
+    /// lane, and asserts both end in the same state.
+    fn assert_runs_match_lanes(window: u64, segments: &[Option<u64>]) {
+        let cfg = PhaseConfig {
+            warm_windows: 1,
+            abs_floor_ppm: 1,
+            rel_pct: 1,
+        };
+        let mut runs = Windowed::new(window, 0.5).with_phases(cfg);
+        let mut lanes = Windowed::new(window, 0.5).with_phases(cfg);
+        let mut page = 0u64;
+        for seg in segments {
+            match *seg {
+                Some(n) => {
+                    let vs: Vec<VirtPage> = (page..page + n).map(VirtPage).collect();
+                    runs.on_hit_run(&vs);
+                    for &v in &vs {
+                        lanes.on_access(v, AccessReport::default());
+                    }
+                    page += n;
+                }
+                None => {
+                    runs.on_access(VirtPage(page), report(true, 1));
+                    lanes.on_access(VirtPage(page), report(true, 1));
+                    page += 1;
+                }
+            }
+        }
+        assert_eq!(runs.all_rows(), lanes.all_rows(), "{segments:?}");
+        assert_eq!(runs.to_csv(), lanes.to_csv());
+        assert_eq!(runs.take_boundaries(), lanes.take_boundaries());
+        assert_eq!(
+            runs.detector().unwrap().phase(),
+            lanes.detector().unwrap().phase()
+        );
+    }
+
+    #[test]
+    fn hit_run_ending_exactly_at_a_window_edge() {
+        assert_runs_match_lanes(4, &[Some(4), Some(4), None, Some(3)]);
+        assert_runs_match_lanes(4, &[None, Some(3), Some(4)]);
+    }
+
+    #[test]
+    fn hit_run_straddling_a_window_edge() {
+        assert_runs_match_lanes(4, &[Some(3), Some(3), None, Some(2), Some(5)]);
+    }
+
+    #[test]
+    fn hit_run_spanning_several_windows() {
+        assert_runs_match_lanes(4, &[None, Some(13), None, Some(16), Some(1)]);
+        let mut w = Windowed::new(4, 0.01);
+        let vs: Vec<VirtPage> = (0..18).map(VirtPage).collect();
+        w.on_hit_run(&vs);
+        let starts: Vec<u64> = w.all_rows().iter().map(|r| r.start).collect();
+        assert_eq!(starts, [0, 4, 8, 12, 16], "four full windows + a partial");
+    }
+
+    #[test]
+    fn hit_runs_at_window_size_one() {
+        assert_runs_match_lanes(1, &[Some(5), None, Some(1), None, None, Some(3)]);
     }
 
     #[test]

@@ -248,11 +248,18 @@ impl<V, P: Policy, K: TlbKey> Tlb<V, P, K> {
 
     /// Accesses `u` like a hardware lookup-and-fill driven by `fill`:
     /// on a miss, `fill(u)` supplies the new value. Returns whether it hit.
+    /// One hash and one index probe: the probe that misses is the absence
+    /// proof the insert needs, as in the batch path's slow lane.
     pub fn access_or_fill(&mut self, u: K, fill: impl FnOnce() -> V) -> bool {
-        if self.lookup(u).is_some() {
+        let h = fx_hash(&u);
+        if self.sim.access_slot_hashed(h, &u).is_some() {
             return true;
         }
-        self.insert(u, fill());
+        let v = fill();
+        self.stats.inserts += 1;
+        if self.sim.insert_cold_hashed(h, u, v).1.is_some() {
+            self.stats.evictions += 1;
+        }
         false
     }
 

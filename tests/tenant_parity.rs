@@ -15,8 +15,9 @@ use atp::core::{IcebergAlloc, IcebergParams};
 use atp::memmgmt::classic::{ClassicConfig, ClassicMm};
 use atp::memmgmt::decoupled::DecoupledConfig;
 use atp::memmgmt::{
-    DecoupledMm, HybridMm, MemoryManager, PagingOnlyMm, SparseConfig, SparseDecoupledMm,
-    TenantArena, TenantManager, TenantMm, TenantMmConfig, ThpConfig, ThpMm, VirtualOnlyMm,
+    latency_classes, DecoupledMm, HybridMm, MemoryManager, PagingOnlyMm, Recorder, SparseConfig,
+    SparseDecoupledMm, StageCounters, TenantArena, TenantManager, TenantMm, TenantMmConfig,
+    ThpConfig, ThpMm, VirtualOnlyMm,
 };
 use atp::replacement::PolicyKind;
 use atp::sim::{run_tenants, run_tenants_batched};
@@ -279,6 +280,40 @@ fn batched_driver_n1_lanes_match_per_access_replay() {
             "TenantArena batch={batch} drifted from per-access replay"
         );
         assert_eq!(stats.per_tenant, gold.tenant_costs(), "batch={batch}");
+    }
+}
+
+#[test]
+fn batched_tenant_mm_recorder_matches_per_access_replay() {
+    // The lane-group retire hands each hit run to the observer in one
+    // call: the recorder must end in the per-access replay's state.
+    let ops = churn_ops(6_000, 500);
+    let recorder = |mm: &TenantMm<Recorder>| {
+        let r = mm.observer();
+        let latency: Vec<u64> = latency_classes()
+            .iter()
+            .map(|&c| r.latency_class(c))
+            .collect();
+        (
+            StageCounters {
+                batches: 0,
+                ..r.counters()
+            },
+            r.reuse_histogram().to_vec(),
+            r.cold_accesses(),
+            latency,
+            r.accesses(),
+        )
+    };
+    let mut gold = TenantMm::with_observer(TenantMmConfig::paper(4, 1 << 9), Recorder::new());
+    replay_per_access(&mut gold, &ops);
+    assert!(gold.costs().tlb_hits > 0, "the stream must have hit runs");
+    for batch in [1usize, 16, 4096] {
+        let mut mm = TenantMm::with_observer(TenantMmConfig::paper(4, 1 << 9), Recorder::new());
+        let stats = run_tenants_batched(&mut mm, ops.iter().copied(), 0, u64::MAX, batch);
+        assert_eq!(stats.costs, gold.costs(), "batch={batch}");
+        assert_eq!(stats.per_tenant, gold.tenant_costs(), "batch={batch}");
+        assert_eq!(recorder(&mm), recorder(&gold), "batch={batch}");
     }
 }
 
