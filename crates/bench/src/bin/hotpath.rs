@@ -30,7 +30,7 @@ use atp_bench::gate::{self, RatioRow};
 use atp_replacement::{
     AnyPolicy, CacheSim, Clock, Fifo, Lru, Policy, PolicyBuild, PolicyKind, Sieve,
 };
-use atp_tlb::{SetAssocTlb, SplitTlb, Tlb, TwoLevelTlb};
+use atp_tlb::Tlb;
 use atp_types::{NoProf, VirtHugePage, VirtPage};
 use atp_workloads::{Graph500Trace, Sequential, Zipfian};
 
@@ -48,6 +48,11 @@ const HUGE: u64 = 512;
 /// streaming a giant trace array — which would add a uniform per-access
 /// cost to every variant and compress all ratios toward 1×.
 const TRACE_WINDOW: usize = 1 << 17;
+/// Timed repetitions per cell, in both modes. `--quick` shortens each rep
+/// (fewer rounds), never the rep count: the gate reads the median of the
+/// per-rep paired ratios, and a median of 3 flipped a different gated cell
+/// on host noise alone in about one run in five.
+const REPS: usize = 11;
 
 // ---------------------------------------------------------------------------
 // Variant drivers
@@ -67,49 +72,6 @@ impl<P: Policy> Driver for FullDriver<P> {
             let u = VirtHugePage(p);
             if self.0.lookup(u).is_none() {
                 self.0.insert(u, p);
-            }
-        }
-    }
-    fn hits(&self) -> u64 {
-        self.0.stats().hits
-    }
-}
-
-struct SetAssocDriver(SetAssocTlb<u64>);
-impl Driver for SetAssocDriver {
-    fn pass(&mut self, trace: &[u64]) {
-        for &p in trace {
-            let u = VirtHugePage(p);
-            if self.0.lookup(u).is_none() {
-                self.0.insert(u, p);
-            }
-        }
-    }
-    fn hits(&self) -> u64 {
-        self.0.stats().hits
-    }
-}
-
-struct TwoLevelDriver<P: Policy>(TwoLevelTlb<u64, P>);
-impl<P: Policy> Driver for TwoLevelDriver<P> {
-    fn pass(&mut self, trace: &[u64]) {
-        for &p in trace {
-            self.0.access(VirtHugePage(p), || p);
-        }
-    }
-    fn hits(&self) -> u64 {
-        let s = self.0.stats();
-        s.l1_hits + s.l2_hits
-    }
-}
-
-struct SplitDriver<P: Policy>(SplitTlb<u64, P>);
-impl<P: Policy> Driver for SplitDriver<P> {
-    fn pass(&mut self, trace: &[u64]) {
-        for &p in trace {
-            let u = VirtHugePage(p);
-            if self.0.lookup(u, 1).is_none() {
-                self.0.insert(u, 1, p);
             }
         }
     }
@@ -227,23 +189,6 @@ fn variants() -> Vec<Variant> {
         ("full_fifo_any", Box::new(|| any(PolicyKind::Fifo))),
         ("full_clock_any", Box::new(|| any(PolicyKind::Clock))),
         ("full_sieve_any", Box::new(|| any(PolicyKind::Sieve))),
-        (
-            "set_assoc_lru",
-            Box::new(|| Box::new(SetAssocDriver(SetAssocTlb::new(192, 8, 7)))),
-        ),
-        (
-            "two_level_lru_mono",
-            Box::new(|| Box::new(TwoLevelDriver(TwoLevelTlb::<u64, Lru>::cascade_lake_lru(3)))),
-        ),
-        (
-            "split_lru_mono",
-            Box::new(|| {
-                Box::new(SplitDriver(SplitTlb::<u64, Lru>::monomorphic(
-                    &[(&[1], TLB_ENTRIES)],
-                    0,
-                )))
-            }),
-        ),
         (
             "raw_cachesim_lru",
             Box::new(|| {
@@ -695,19 +640,19 @@ fn main() {
         return;
     }
 
-    let (rounds, reps) = if quick { (2, 3) } else { (8, 11) };
+    let rounds = if quick { 2 } else { 8 };
     let traces = traces(TRACE_WINDOW);
     let variants = variants();
 
     println!(
         "hotpath: {} variants × {} traces, {} accesses ({TRACE_WINDOW}-access \
-         window × {rounds} rounds), median of {reps}",
+         window × {rounds} rounds), median of {REPS}",
         variants.len(),
         traces.len(),
         TRACE_WINDOW * rounds,
     );
 
-    let cells = measure_matrix(&variants, &traces, reps, rounds);
+    let cells = measure_matrix(&variants, &traces, REPS, rounds);
     for cell in &cells {
         println!(
             "  {:28} {:>12.0} acc/s  ({:6.2} ns/access, {} hits)",
@@ -741,7 +686,7 @@ fn main() {
         }
     }
 
-    write_json(&out_path, quick, reps, &cells, &ratios);
+    write_json(&out_path, quick, REPS, &cells, &ratios);
 
     // Gate after writing: a failed gate still leaves the artifact on
     // disk for inspection.

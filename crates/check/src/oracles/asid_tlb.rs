@@ -1,12 +1,12 @@
 //! Linear-scan oracle for the ASID-tagged TLB.
 //!
-//! [`LinearAsidTlb`] is [`super::tlb::LinearTlb`] with multi-tenant
-//! semantics spelled out as obviously as possible: one recency `Vec`
-//! whose keys are `(asid, huge)` pairs, a lookup that scans for the
-//! private entry first and the global ([`Asid::GLOBAL`]) entry second,
-//! and an ASID flush that walks the list removing one tenant's private
-//! entries while leaving everyone else's — globals included — in their
-//! exact recency positions. [`atp_tlb::AsidTlb`] with the LRU policy
+//! [`LinearAsidTlb`] is the LRU case of [`super::LinearPolicyTlb`] with
+//! multi-tenant semantics spelled out as obviously as possible: one
+//! recency `Vec` whose keys are `(asid, huge)` pairs, a lookup that scans
+//! for the private entry first and the global ([`Asid::GLOBAL`]) entry
+//! second, and an ASID flush that walks the list removing one tenant's
+//! private entries while leaving everyone else's — globals included — in
+//! their exact recency positions. [`atp_tlb::AsidTlb`] with the LRU policy
 //! must match it operation for operation: hits, victims, flush counts.
 
 use atp_types::{Asid, TaggedHugePage, VirtHugePage};

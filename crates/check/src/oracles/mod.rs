@@ -10,10 +10,8 @@
 //! | family        | oracle                                      | systems under test                          |
 //! |---------------|---------------------------------------------|---------------------------------------------|
 //! | balls-and-bins| [`NaiveGame`] (exhaustive bin scan)         | `Game` under `OneChoice`/`Greedy`/`Iceberg` |
-//! | TLB           | [`LinearTlb`] (linear-scan LRU)             | `Tlb`, `SetAssocTlb`, `TwoLevelTlb`, `SplitTlb` |
+//! | TLB           | [`LinearPolicyTlb`] (linear scan per policy)| `Tlb<_, P>` for LRU/FIFO/CLOCK/SIEVE        |
 //! | ASID TLB      | [`LinearAsidTlb`] (tagged linear-scan LRU)  | `AsidTlb` (private/global probe, ASID flush) |
-//! | TLB policies  | [`LinearPolicyTlb`] (linear scan per policy)| fused `Tlb<_, P>` for LRU/FIFO/CLOCK/SIEVE  |
-//! | page table    | [`MapPageTable`] (flat `HashMap`)           | `radix`, `hash_table`, `pwc`, `nested`      |
 //! | OPT           | [`opt_misses_naive`] (exhaustive lookahead) | `opt::opt_misses`                           |
 //! | batching      | [`run_single_step`] (unbatched driver)      | `run_batched` over all seven managers       |
 //! | TLB values    | [`VecTlbValue`], [`VecSparseValue`] (heap)  | inline `TlbValue`/`SparseValue`, scheme shadow |
@@ -23,15 +21,11 @@ pub mod ballsbins;
 pub mod batching;
 pub mod belady;
 pub mod encoders;
-pub mod pagetable;
 pub mod policy_tlb;
-pub mod tlb;
 
 pub use asid_tlb::LinearAsidTlb;
 pub use ballsbins::NaiveGame;
 pub use batching::{counters_modulo_batches, run_single_step};
 pub use belady::opt_misses_naive;
 pub use encoders::{SparseValue as VecSparseValue, TlbValue as VecTlbValue};
-pub use pagetable::MapPageTable;
 pub use policy_tlb::{LinearPolicyTlb, RefPolicy};
-pub use tlb::LinearTlb;

@@ -2,8 +2,9 @@
 //! linear-scan per-policy oracle [`LinearPolicyTlb`], for every policy
 //! with a monomorphized fast path (LRU, FIFO, CLOCK, SIEVE).
 //!
-//! Scripts interleave `access_or_fill`, `invalidate`, and `update` so that
-//! slot recycling, policy-metadata cleanup on explicit removal, and (for
+//! Scripts interleave both fill paths (`lookup` then `insert`, and the
+//! one-probe `access_or_fill`), `invalidate`, and `update` so that slot
+//! recycling, policy-metadata cleanup on explicit removal, and (for
 //! SIEVE) hand maintenance are all exercised — the places where a fused
 //! arena could silently diverge from the textbook policy description.
 //! Victims are compared entry-for-entry, not just hit/miss streams.
@@ -14,15 +15,17 @@ use atp_replacement::{AnyPolicy, Clock, Fifo, Lru, Policy, PolicyBuild, PolicyKi
 use atp_tlb::Tlb;
 use atp_types::VirtHugePage;
 
-/// Adversary scripts: `(page, op)` with op 0/1 = access, 2 = invalidate,
-/// 3 = update — access-heavy so caches actually fill and evict.
+/// Adversary scripts: `(page, op)` with op 0 = `lookup` then `insert` on a
+/// miss, 1 = `access_or_fill`, 2 = invalidate, 3 = update — access-heavy
+/// so caches actually fill and evict.
 fn scripts() -> impl atp_check::Gen<Value = Vec<(u64, u64)>> {
     vecs((u64s(0..=16), u64s(0..=3)), 0..=300)
 }
 
 /// Drives a fused `Tlb<u64, P>` and the oracle over one script, comparing
-/// every observable: hit/miss, evicted victim entries, invalidated values,
-/// update residency, and final entry counts.
+/// every observable: hit/miss, evicted victim entries (`access_or_fill`
+/// reports none; a wrong victim shows in later ops and the final count),
+/// invalidated values, update residency, and final entry counts.
 fn run_policy_diff<P: Policy>(
     name: &'static str,
     sut: &mut Tlb<u64, P>,
@@ -36,13 +39,14 @@ fn run_policy_diff<P: Policy>(
         |&(p, op)| {
             let u = VirtHugePage(p);
             match op {
-                2 => (sut.invalidate(u), None, None),
-                3 => (None, Some(sut.update(u, |v| *v += 1)), None),
+                1 => (None, None, None, Some(sut.access_or_fill(u, || p * 10))),
+                2 => (sut.invalidate(u), None, None, None),
+                3 => (None, Some(sut.update(u, |v| *v += 1)), None, None),
                 _ => {
                     if sut.lookup(u).is_some() {
-                        (None, None, Some(None))
+                        (None, None, Some(None), None)
                     } else {
-                        (None, None, Some(Some(sut.insert(u, p * 10))))
+                        (None, None, Some(Some(sut.insert(u, p * 10))), None)
                     }
                 }
             }
@@ -50,13 +54,14 @@ fn run_policy_diff<P: Policy>(
         |&(p, op)| {
             let u = VirtHugePage(p);
             match op {
-                2 => (oracle.invalidate(u), None, None),
-                3 => (None, Some(oracle.update(u, |v| *v += 1)), None),
+                1 => (None, None, None, Some(oracle.access_or_fill(u, || p * 10))),
+                2 => (oracle.invalidate(u), None, None, None),
+                3 => (None, Some(oracle.update(u, |v| *v += 1)), None, None),
                 _ => {
                     if oracle.lookup(u).is_some() {
-                        (None, None, Some(None))
+                        (None, None, Some(None), None)
                     } else {
-                        (None, None, Some(Some(oracle.insert(u, p * 10))))
+                        (None, None, Some(Some(oracle.insert(u, p * 10))), None)
                     }
                 }
             }

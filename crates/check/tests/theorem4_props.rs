@@ -1,4 +1,4 @@
-//! Theorem 4 (i) and (ii) and Lemma 1 as generated properties.
+//! Theorem 4 (i), (ii) and (iii) and Lemma 1 as generated properties.
 //!
 //! The decoupled manager `Z` glues `X`'s TLB replacement to `Y`'s RAM
 //! replacement through a decoupling scheme, so while the scheme's failure
@@ -11,6 +11,11 @@
 //!   so this also pins that the update never touches replacement state.
 //! * **(ii)** While `F = ∅`, Z's IOs equal `Y(m)`'s: RAM replacement is
 //!   Y's policy over base pages, one IO per fault.
+//! * **(iii)** With `F ≠ ∅`, Z's excess over X and Y is exactly its
+//!   paging-failure accesses: TLB misses still equal `X(hmax)`'s, each
+//!   failed access pays one decoding miss, and one IO more than `Y(m)`
+//!   when it hits in RAM (a miss pays the IO Y pays too). A degenerate
+//!   Iceberg allocator forces the failures.
 //! * **Lemma 1** reduces X and Y to classical paging: `X(hmax)`'s TLB
 //!   misses are the misses of a 64-entry cache over the huge-page stream
 //!   ⌊v/hmax⌋, and `Y(m)`'s IOs those of an m-page cache over the page
@@ -23,7 +28,8 @@
 //! SIEVE at batch sizes {1, 13, 4096}, at P = 2^12 or 2^14 with
 //! theory-derived Iceberg parameters. (ii) is checked on the trace prefix
 //! before the first paging failure, so it holds whether or not a case
-//! reaches one. Failures shrink to a minimal segment list and print an
+//! reaches one. (iii) runs the same traces at P = 768 instead. Failures
+//! shrink to a minimal segment list and print an
 //! `ATP_CHECK_SEED` replay line.
 
 use atp_check::oracles::{LinearPolicyTlb, RefPolicy};
@@ -88,16 +94,34 @@ fn run(mm: &mut dyn MemoryManager, pages: &[VirtPage], batch: usize) -> Costs {
 }
 
 fn z(params: &IcebergParams, policy: PolicyKind) -> DecoupledMm<IcebergAlloc> {
+    z_with(IcebergAlloc::new(params, SEED), params.max_resident, policy)
+}
+
+fn z_with(alloc: IcebergAlloc, m: u64, policy: PolicyKind) -> DecoupledMm<IcebergAlloc> {
     DecoupledMm::new(
-        IcebergAlloc::new(params, SEED),
+        alloc,
         DecoupledConfig {
             tlb_value_bits: 64,
             tlb_entries: TLB,
             tlb_policy: policy,
-            resident_pages: params.max_resident,
+            resident_pages: m,
             ram_policy: policy,
             seed: SEED,
         },
+    )
+}
+
+/// (iii)'s resident budget, m = ⌊0.9·P⌋ = 691 of P = 768.
+const DEGENERATE_M: u64 = 768 * 9 / 10;
+
+/// (iii)'s Z: Iceberg bins of 8 front and 4 back slots, far below the
+/// sizes Theorem 3 derives, loaded to `DEGENERATE_M`, a load no
+/// failure-free Iceberg\[2\] of this geometry sustains.
+fn z_degenerate(policy: PolicyKind) -> DecoupledMm<IcebergAlloc> {
+    z_with(
+        IcebergAlloc::with_geometry(64, 8, 4, SEED),
+        DEGENERATE_M,
+        policy,
     )
 }
 
@@ -169,6 +193,58 @@ fn theorem4(case: &Case) -> Result<(), String> {
     Ok(())
 }
 
+fn theorem4_with_failures(case: &Case) -> Result<(), String> {
+    // The P = 2^14 flag does not apply: the allocator is fixed.
+    let (_, segments) = case;
+    let span = 4 * DEGENERATE_M;
+    // One sequential sweep of the span comes first: 4m distinct pages
+    // through m frames' worth of RAM churn the allocator into failures,
+    // so F ≠ ∅ in every case, however short the generated segments.
+    let pages: Vec<VirtPage> = (0..span)
+        .map(VirtPage)
+        .chain(trace(segments, span))
+        .collect();
+    for (policy, _) in POLICIES {
+        let hmax = z_degenerate(policy).coverage();
+        let x = run(&mut VirtualOnlyMm::new(hmax, TLB, policy, SEED), &pages, 1);
+        // Z's RAM is Y(m): the same policy at the same capacity. Driven in
+        // lockstep, a failed access hit in Z's RAM exactly when Y paid no
+        // IO for it.
+        let mut zs = z_degenerate(policy);
+        let mut y = PagingOnlyMm::new(DEGENERATE_M, policy, SEED);
+        let mut failed_hits = 0;
+        for &v in &pages {
+            let failed = zs.access(v).paging_failure;
+            let y_hit = y.access(v).ios == 0;
+            failed_hits += u64::from(failed && y_hit);
+        }
+        let y = y.costs();
+        for batch in BATCHES {
+            let at = format!("{policy:?}, batch {batch}");
+            let zc = run(&mut z_degenerate(policy), &pages, batch);
+            if zc.paging_failures == 0 {
+                return Err(format!("F stayed empty, nothing to check ({at})"));
+            }
+            ensure_eq!(
+                zc.tlb_misses,
+                x.tlb_misses,
+                "(iii)(a) Z vs X(hmax={hmax}) with F ≠ ∅ ({at})"
+            );
+            ensure_eq!(
+                zc.decode_misses,
+                zc.paging_failures,
+                "(iii)(b) one decoding miss per failed access ({at})"
+            );
+            ensure_eq!(
+                zc.ios,
+                y.ios + failed_hits,
+                "(iii)(c) Z vs Y(m) plus failed RAM hits ({at})"
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Misses of a `capacity`-entry linear-scan cache under `policy` over
 /// `keys`.
 fn oracle_misses(keys: impl Iterator<Item = u64>, capacity: u64, policy: RefPolicy) -> u64 {
@@ -223,6 +299,17 @@ fn decoupled_tlb_misses_equal_x_and_ios_equal_y_while_f_is_empty() {
         &cases(),
         &Config::for_property(name).with_cases(6),
         theorem4,
+    );
+}
+
+#[test]
+fn decoupled_pays_exactly_its_paging_failures_when_f_is_not_empty() {
+    let name = "decoupled_pays_exactly_its_paging_failures_when_f_is_not_empty";
+    check_config(
+        name,
+        &cases(),
+        &Config::for_property(name).with_cases(6),
+        theorem4_with_failures,
     );
 }
 

@@ -77,7 +77,8 @@ OBSERVABILITY (simulate; --metrics/--format also on sweep and multicore):
 
 SWEEP / MULTICORE:
   --threads N     sweep worker threads (0 = all CPUs)             [0]
-  --cores N       multicore: cores (one trace per core)           [4]
+  --cores N       multicore: cores (one trace and one thread per
+                  core), at most 256                              [4]
 
 TENANTS (ASID-tagged translation over one shared physical pool):
   --tenants LIST  comma-separated tenant counts to sweep    [1,16,256]
@@ -997,6 +998,11 @@ pub fn tenants_cmd(raw: &[String]) -> Result<(), ArgError> {
     Ok(())
 }
 
+/// Most cores `atp multicore` simulates: above any shipping socket. Each
+/// core costs a trace of `--accesses` pages and one OS thread, so the
+/// bound is checked before either is made.
+const MAX_CORES: u64 = 256;
+
 /// `atp multicore` — the Section 1 shootdown extension from the shell:
 /// `--cores` private TLBs over one shared page cache, each core replaying
 /// the workload under its own seed. One [`SyncRecorder`] is cloned into
@@ -1005,10 +1011,13 @@ pub fn multicore_cmd(raw: &[String]) -> Result<(), ArgError> {
     let args = Args::parse(raw, &[])?;
     check_opts(&args, &["cores", "metrics", "format"])?;
     let c = common(&args)?;
-    let cores = args.u64_or("cores", 4)? as usize;
-    if cores == 0 {
-        return Err(ArgError("--cores must be at least 1".into()));
+    let cores = args.u64_or("cores", 4)?;
+    if !(1..=MAX_CORES).contains(&cores) {
+        return Err(ArgError(format!(
+            "--cores must be in 1..={MAX_CORES}, got {cores}"
+        )));
     }
+    let cores = cores as usize;
     let format = export_format(&args)?;
     let wname = args.get_or("workload", "bimodal");
     let cfg = MulticoreConfig {
@@ -1227,11 +1236,25 @@ pub fn calibrate(raw: &[String]) -> Result<(), ArgError> {
     }
     m.walk_touch_ns = args.f64_or("walk-ns", m.walk_touch_ns)?;
     m.io_ns = args.f64_or("io-ns", m.io_ns)?;
+    for (name, ns) in [("walk-ns", m.walk_touch_ns), ("io-ns", m.io_ns)] {
+        if !(ns.is_finite() && ns > 0.0) {
+            return Err(ArgError(format!(
+                "--{name} must be a positive, finite latency, got {ns}"
+            )));
+        }
+    }
+    let epsilon = m.epsilon();
+    if !(epsilon > 0.0 && epsilon < 1.0) {
+        return Err(ArgError(format!(
+            "derived ε = {epsilon} is outside the cost model's (0, 1): \
+             a TLB miss must cost less than an IO"
+        )));
+    }
     println!(
         "walk: {} touches × {} ns; io: {} ns",
         m.walk_touches, m.walk_touch_ns, m.io_ns
     );
-    println!("ε = {:.6}", m.epsilon());
+    println!("ε = {epsilon:.6}");
     Ok(())
 }
 
@@ -1628,6 +1651,38 @@ mod tests {
         assert_eq!(simulate_classic_exit(&["--phys", "0", "--help"]), 0);
         assert_eq!(simulate_classic_exit(&["--phys", "0", "-h"]), 0);
         assert_eq!(crate::run(&argv(&["trace", "record", "-h"])), 0);
+    }
+
+    #[test]
+    fn multicore_cores_above_the_ceiling_exit_2() {
+        // Checked before any trace is built, so no thread starts.
+        assert_eq!(crate::run(&argv(&["multicore", "--cores", "2^20"])), 2);
+    }
+
+    #[test]
+    fn calibrate_rejects_non_positive_or_non_finite_latencies() {
+        for bad in [
+            ["--walk-ns", "-5"],
+            ["--walk-ns", "0"],
+            ["--io-ns", "0"],
+            ["--io-ns", "nan"],
+            ["--io-ns", "inf"],
+        ] {
+            assert_eq!(
+                crate::run(&argv(&["calibrate", bad[0], bad[1]])),
+                2,
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn calibrate_rejects_epsilon_outside_the_unit_interval() {
+        // 4 touches × 100 ns against a 400 ns IO: ε = 1.
+        let a = argv(&["--walk-ns", "100", "--io-ns", "400"]);
+        let err = calibrate(&a).unwrap_err();
+        assert!(err.0.contains("(0, 1)"), "{}", err.0);
+        assert_eq!(crate::run(&[vec!["calibrate".to_string()], a].concat()), 2);
     }
 
     #[test]

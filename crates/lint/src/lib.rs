@@ -137,7 +137,7 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-wall-clock",
-        summary: "Instant/SystemTime banned in deterministic crates (sim, types, ballsbins, tlb, pagetable, replacement, memmgmt, obs, trace, workloads, core)",
+        summary: "Instant/SystemTime banned in deterministic crates (sim, types, ballsbins, tlb, replacement, memmgmt, obs, trace, workloads, core)",
     },
     RuleInfo {
         name: "no-ambient-randomness",

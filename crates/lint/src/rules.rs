@@ -15,7 +15,6 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "types",
     "ballsbins",
     "tlb",
-    "pagetable",
     "replacement",
     "memmgmt",
     "obs",
@@ -31,7 +30,6 @@ const RESULT_AFFECTING_CRATES: &[&str] = &[
     "hash",
     "ballsbins",
     "tlb",
-    "pagetable",
     "replacement",
     "memmgmt",
     "sim",

@@ -8,7 +8,7 @@
 //!
 //! * online: [`Lru`], [`Fifo`], [`Clock`] (second chance), [`Sieve`], and
 //!   randomized [`Marking`] (Fiat et al. [22], O(log k)-competitive);
-//! * offline: [`opt::OptCache`] — Belady's farthest-in-future algorithm,
+//! * offline: [`opt::opt_misses`] — Belady's farthest-in-future algorithm,
 //!   used as the lower-bound comparator in experiments.
 //!
 //! All online policies plug into [`CacheSim`], which owns the key→slot map
@@ -40,7 +40,6 @@ pub use clock::Clock;
 pub use fifo::Fifo;
 pub use lru::Lru;
 pub use marking::Marking;
-pub use opt::OptCache;
 pub use policy::{Policy, PolicyBuild, PolicyKind, SlotId};
 pub use sieve::Sieve;
 pub use slot_set::{SlotPool, SlotVec};

@@ -72,24 +72,6 @@ pub fn opt_misses(trace: &[u64], capacity: usize) -> OptStats {
     OptStats { misses, hits }
 }
 
-/// Convenience wrapper retaining the trace, for repeated queries.
-#[derive(Clone, Debug)]
-pub struct OptCache {
-    trace: Vec<u64>,
-}
-
-impl OptCache {
-    /// Wraps a trace for OPT evaluation.
-    pub fn new(trace: Vec<u64>) -> Self {
-        Self { trace }
-    }
-
-    /// Misses OPT incurs at the given capacity.
-    pub fn misses_at(&self, capacity: usize) -> u64 {
-        opt_misses(&self.trace, capacity).misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,8 +9,8 @@
 //!   = walk_touches × memory_latency / io_latency
 //! ```
 //!
-//! With the substrate's own numbers: a 4-level radix walk touches 4 table
-//! pages (24 when virtualized — see `atp_pagetable::nested`), each costing
+//! A native 4-level radix walk touches 4 table pages, and a virtualized
+//! guest-over-host (2D) walk up to (4+1)·(4+1) − 1 = 24, each costing
 //! roughly a DRAM access unless caught by the paging-structure caches, and
 //! IO latency spans 4 decades from Optane-class (~10 µs) to spinning disk
 //! (~10 ms). The resulting ε ranges from ~10⁻⁵ (disk) to ~10⁻¹ (fast NVMe,

@@ -1,116 +1,16 @@
-//! The key abstraction shared by every TLB organization.
+//! The key abstraction shared by the TLB models.
 //!
-//! PR 6 makes all four TLB variants generic over their key so the same
-//! structures serve single-tenant simulations (keyed by [`VirtHugePage`],
-//! the default — zero change to existing monomorphizations) and
+//! [`Tlb`](crate::Tlb) is generic over its key so the same structure serves
+//! single-tenant simulations (keyed by [`VirtHugePage`], the default) and
 //! multi-tenant ones (keyed by [`TaggedHugePage`], where the ASID is part
 //! of the match so context switches need no flush).
 
 use atp_types::{TaggedHugePage, VirtHugePage};
 use core::hash::Hash;
 
-/// Bits of a huge-page id reserved below the split-TLB size-class tag.
-pub(crate) const CLASS_TAG_SHIFT: u32 = 58;
+/// A TLB entry key: plain map-key behaviour, nothing more.
+pub trait TlbKey: Copy + Eq + Hash + core::fmt::Debug {}
 
-/// A TLB entry key.
-///
-/// Beyond plain map-key behaviour (`Eq + Hash + Copy`), a key knows how
-/// to expose routing bits for set selection and how to carry a split-TLB
-/// size-class tag. Implementations must keep tagging injective: distinct
-/// `(key, tag)` pairs map to distinct tagged keys, and
-/// `k.with_class_tag(t).class_untag() == k`.
-pub trait TlbKey: Copy + Eq + Hash + core::fmt::Debug {
-    /// Bits fed to the set-index hash. Must mix in every field that
-    /// distinguishes entries (for ASID-tagged keys, the ASID — so two
-    /// tenants' copies of one page spread over different sets).
-    fn route_bits(self) -> u64;
+impl TlbKey for VirtHugePage {}
 
-    /// Embeds a split-TLB size-class tag (`tag < 64`) into the key.
-    fn with_class_tag(self, tag: u64) -> Self;
-
-    /// Strips the size-class tag applied by [`TlbKey::with_class_tag`].
-    fn class_untag(self) -> Self;
-}
-
-impl TlbKey for VirtHugePage {
-    #[inline]
-    fn route_bits(self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn with_class_tag(self, tag: u64) -> Self {
-        debug_assert!(
-            self.0 < 1 << CLASS_TAG_SHIFT,
-            "huge-page id too large for size tagging"
-        );
-        VirtHugePage((tag << CLASS_TAG_SHIFT) | self.0)
-    }
-
-    #[inline]
-    fn class_untag(self) -> Self {
-        VirtHugePage(self.0 & ((1 << CLASS_TAG_SHIFT) - 1))
-    }
-}
-
-impl TlbKey for TaggedHugePage {
-    /// Mixes the ASID into the routing bits with a fixed odd multiplier
-    /// (the 64-bit golden-ratio constant) so one hot page replicated
-    /// across tenants does not pile into a single set.
-    #[inline]
-    fn route_bits(self) -> u64 {
-        self.huge
-            .0
-            .wrapping_add((self.asid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    #[inline]
-    fn with_class_tag(self, tag: u64) -> Self {
-        TaggedHugePage::new(self.asid, self.huge.with_class_tag(tag))
-    }
-
-    #[inline]
-    fn class_untag(self) -> Self {
-        TaggedHugePage::new(self.asid, self.huge.class_untag())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use atp_types::Asid;
-
-    #[test]
-    fn virt_tagging_round_trips() {
-        let k = VirtHugePage(0xABCDE);
-        for tag in [0u64, 1, 5, 63] {
-            let t = k.with_class_tag(tag);
-            assert_eq!(t.class_untag(), k);
-            if tag != 0 {
-                assert_ne!(t, k);
-            }
-        }
-    }
-
-    #[test]
-    fn tagged_tagging_preserves_asid() {
-        let k = TaggedHugePage::new(Asid(7), VirtHugePage(42));
-        let t = k.with_class_tag(3);
-        assert_eq!(t.asid, Asid(7));
-        assert_eq!(t.class_untag(), k);
-    }
-
-    #[test]
-    fn route_bits_distinguish_tenants() {
-        let a = TaggedHugePage::new(Asid(1), VirtHugePage(99)).route_bits();
-        let b = TaggedHugePage::new(Asid(2), VirtHugePage(99)).route_bits();
-        assert_ne!(a, b, "same page in two tenants must route differently");
-    }
-
-    #[test]
-    fn virt_route_bits_are_identity() {
-        // Single-tenant set selection must be bit-for-bit what it was
-        // before keys were generic.
-        assert_eq!(VirtHugePage(12345).route_bits(), 12345);
-    }
-}
+impl TlbKey for TaggedHugePage {}

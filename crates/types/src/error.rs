@@ -12,36 +12,6 @@ pub enum ParamError {
         /// Offending value.
         value: u64,
     },
-    /// A parameter that must be nonzero was zero.
-    Zero {
-        /// Parameter name.
-        name: &'static str,
-    },
-    /// A parameter exceeded another that must bound it.
-    OutOfRange {
-        /// Parameter name.
-        name: &'static str,
-        /// Offending value.
-        value: u64,
-        /// Human-readable constraint, e.g. "must be <= V".
-        constraint: &'static str,
-    },
-    /// A floating-point parameter was outside its legal interval.
-    BadFraction {
-        /// Parameter name.
-        name: &'static str,
-        /// Offending value.
-        value: f64,
-        /// Human-readable constraint, e.g. "must be in (0,1)".
-        constraint: &'static str,
-    },
-    /// `hmax` must divide `V` (Section 3 assumes it does).
-    NotDivisible {
-        /// Dividend name.
-        dividend: &'static str,
-        /// Divisor name.
-        divisor: &'static str,
-    },
 }
 
 impl fmt::Display for ParamError {
@@ -49,20 +19,6 @@ impl fmt::Display for ParamError {
         match self {
             ParamError::NotPowerOfTwo { name, value } => {
                 write!(f, "parameter `{name}` must be a power of two, got {value}")
-            }
-            ParamError::Zero { name } => write!(f, "parameter `{name}` must be nonzero"),
-            ParamError::OutOfRange {
-                name,
-                value,
-                constraint,
-            } => write!(f, "parameter `{name}` = {value} out of range: {constraint}"),
-            ParamError::BadFraction {
-                name,
-                value,
-                constraint,
-            } => write!(f, "parameter `{name}` = {value} invalid: {constraint}"),
-            ParamError::NotDivisible { dividend, divisor } => {
-                write!(f, "`{divisor}` must divide `{dividend}`")
             }
         }
     }
@@ -85,21 +41,15 @@ mod tests {
         };
         assert!(e.to_string().contains('h'));
         assert!(e.to_string().contains('3'));
-
-        let e = ParamError::Zero { name: "P" };
-        assert!(e.to_string().contains('P'));
-
-        let e = ParamError::OutOfRange {
-            name: "l",
-            value: 10,
-            constraint: "must be <= P",
-        };
-        assert!(e.to_string().contains("must be <= P"));
+        assert!(e.to_string().contains("power of two"));
     }
 
     #[test]
     fn error_trait_object_works() {
-        let e: Box<dyn std::error::Error> = Box::new(ParamError::Zero { name: "V" });
-        assert!(e.to_string().contains('V'));
+        let e: Box<dyn std::error::Error> = Box::new(ParamError::NotPowerOfTwo {
+            name: "hmax",
+            value: 6,
+        });
+        assert!(e.to_string().contains("hmax"));
     }
 }

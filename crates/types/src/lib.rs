@@ -6,9 +6,6 @@
 //! * newtyped page identifiers ([`VirtPage`], [`PhysPage`], [`VirtHugePage`]),
 //! * multi-tenant vocabulary ([`Asid`], [`TaggedHugePage`], [`TenantOp`]),
 //! * page-geometry arithmetic ([`HugePageGeometry`]),
-//! * the system parameters of the paper's model ([`SystemParams`]):
-//!   `V` virtual pages, `P` physical pages, `ℓ` TLB entries, `w` bits per TLB
-//!   value, resource augmentation `δ`, and the TLB-miss cost `ε`,
 //! * the **address-translation cost model** of Section 5 ([`CostModel`],
 //!   [`Costs`]): each IO costs 1, each TLB miss costs `ε ∈ (0,1)`, each TLB
 //!   hit costs 0, and decoding misses also cost `ε`,
@@ -26,7 +23,6 @@ pub mod cost;
 pub mod error;
 pub mod geometry;
 pub mod page;
-pub mod params;
 pub mod prof;
 pub mod scale;
 
@@ -35,6 +31,5 @@ pub use cost::{CostModel, Costs};
 pub use error::{ParamError, Result};
 pub use geometry::HugePageGeometry;
 pub use page::{PhysPage, VirtHugePage, VirtPage, NULL_PHYS};
-pub use params::{SystemParams, SystemParamsBuilder};
 pub use prof::{EvictCause, NoProf, ProfSink, StageOp};
 pub use scale::{pages_for_bytes, GIB, KIB, MIB, PAGE_SIZE};

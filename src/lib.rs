@@ -55,8 +55,7 @@
 //! | [`hash`] | seeded deterministic hashing & counter RNG |
 //! | [`ballsbins`] | one-choice / Greedy\[d\] / Iceberg\[d\] games |
 //! | [`replacement`] | LRU, FIFO, CLOCK, SIEVE, Marking, Belady OPT |
-//! | [`pagetable`] | radix & hashed page tables with walk costs |
-//! | [`tlb`] | fully/set-associative and split TLB models |
+//! | [`tlb`] | the fully associative TLB, plain and ASID-tagged |
 //! | [`core`] | **the contribution**: allocators, encodings, scheme |
 //! | [`memmgmt`] | classic, X, Y, Z, and hybrid managers |
 //! | [`workloads`] | Figure-1 workloads + extras |
@@ -72,7 +71,6 @@ pub use atp_core as core;
 pub use atp_hash as hash;
 pub use atp_memmgmt as memmgmt;
 pub use atp_obs as obs;
-pub use atp_pagetable as pagetable;
 pub use atp_replacement as replacement;
 pub use atp_sim as sim;
 pub use atp_tlb as tlb;
