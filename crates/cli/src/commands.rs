@@ -42,6 +42,10 @@ WORKLOADS (--workload):
 MANAGERS (--manager):
   classic | decoupled | sparse | thp | x | y
   (sparse: decoupled Z with sparse TLB values; --h sets the coverage in pages/entry)
+WORKLOAD OPTIONS (each only with the workload that reads it):
+  --zipf-s F      zipf: Zipf exponent           [1.0]
+  --graph-scale N graph500: log2 of vertices    [15]
+  --edge-factor N graph500: edges per vertex    [16]
 
 COMMON OPTIONS (sizes accept k/m/g suffixes and 2^n):
   --phys N        physical pages            [2^16]
@@ -106,31 +110,59 @@ BENCH TRAJECTORY:
     any gated cell's ratio dropped by more than the fraction F.
 ";
 
-/// Options read by [`common`] and [`workload`] — every subcommand that
-/// builds a simulation accepts these.
+/// Options read by [`common`] — every subcommand that builds a
+/// simulation accepts these.
 const COMMON_OPTS: &[&str] = &[
-    "workload",
-    "phys",
-    "virt",
-    "tlb",
-    "h",
-    "accesses",
-    "warmup",
-    "epsilon",
-    "policy",
-    "seed",
-    "zipf-s",
-    "graph-scale",
-    "edge-factor",
+    "phys", "virt", "tlb", "h", "accesses", "warmup", "epsilon", "policy", "seed",
+];
+
+/// The options that only one workload reads, each with that workload.
+const WORKLOAD_ONLY_OPTS: [(&str, &str); 3] = [
+    ("zipf-s", "zipf"),
+    ("graph-scale", "graph500"),
+    ("edge-factor", "graph500"),
 ];
 
 /// `check_known` against [`COMMON_OPTS`] plus the subcommand's own
-/// options; these subcommands take no positional arguments.
+/// options; these subcommands take no positional arguments. Unless
+/// `extra` names them, `--workload` and the [`WORKLOAD_ONLY_OPTS`] are
+/// errors that say who reads them.
 fn check_opts(args: &Args, extra: &[&str]) -> Result<(), ArgError> {
+    let given = |opt: &str| args.get(opt).is_some() && !extra.contains(&opt);
+    if given("workload") {
+        return Err(ArgError(
+            "--workload is read only by simulate, sweep, multicore and trace record".into(),
+        ));
+    }
+    if let Some((opt, reader)) = WORKLOAD_ONLY_OPTS.into_iter().find(|&(opt, _)| given(opt)) {
+        return Err(ArgError(format!(
+            "--{opt} is read only by --workload {reader}, and this subcommand builds no workload"
+        )));
+    }
     let mut known: Vec<&str> = COMMON_OPTS.to_vec();
     known.extend_from_slice(extra);
     args.check_known(&known)?;
     args.reject_positionals()
+}
+
+/// [`check_opts`] for a subcommand that builds a [`workload`]: it also
+/// accepts `--workload` and the [`WORKLOAD_ONLY_OPTS`] of the workload
+/// chosen, and names the workload that reads any other.
+fn check_workload_opts(args: &Args, extra: &[&str]) -> Result<(), ArgError> {
+    let mut known = vec!["workload"];
+    known.extend(WORKLOAD_ONLY_OPTS.map(|(opt, _)| opt));
+    known.extend_from_slice(extra);
+    check_opts(args, &known)?;
+    let chosen = args.get_or("workload", "bimodal");
+    match WORKLOAD_ONLY_OPTS
+        .into_iter()
+        .find(|&(opt, reader)| reader != chosen && args.get(opt).is_some())
+    {
+        Some((opt, reader)) => Err(ArgError(format!(
+            "--{opt} is read only by --workload {reader}, not by --workload {chosen}"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Writes an export artifact, wrapping IO errors with the path.
@@ -399,7 +431,7 @@ fn build_manager(name: &str, c: &Common) -> Result<Box<dyn MemoryManager>, ArgEr
 /// `atp simulate`.
 pub fn simulate(raw: &[String]) -> Result<(), ArgError> {
     let args = Args::parse(raw, &["observe", "phases"])?;
-    check_opts(
+    check_workload_opts(
         &args,
         &[
             "manager",
@@ -472,17 +504,17 @@ pub fn simulate(raw: &[String]) -> Result<(), ArgError> {
     };
     let wall = wall_start.elapsed();
     let costs = stats.costs;
-    println!("manager:        {}", stats.name);
-    println!("accesses:       {}", costs.accesses);
-    println!("ios:            {}", costs.ios);
-    println!(
+    outln!("manager:        {}", stats.name);
+    outln!("accesses:       {}", costs.accesses);
+    outln!("ios:            {}", costs.ios);
+    outln!(
         "tlb misses:     {} ({:.4} per access)",
         costs.tlb_misses,
         costs.tlb_miss_rate()
     );
-    println!("decode misses:  {}", costs.decode_misses);
-    println!("paging failures:{}", costs.paging_failures);
-    println!(
+    outln!("decode misses:  {}", costs.decode_misses);
+    outln!("paging failures:{}", costs.paging_failures);
+    outln!(
         "total cost:     {:.2}  (ε = {}; C_IO {:.1} + C_TLB {:.2} + C_D {:.2})",
         costs.total(c.model),
         c.model.epsilon,
@@ -490,7 +522,7 @@ pub fn simulate(raw: &[String]) -> Result<(), ArgError> {
         costs.tlb_cost(c.model),
         costs.decode_cost(c.model)
     );
-    println!("wall time:      {wall:.2?}");
+    outln!("wall time:      {wall:.2?}");
     let served = stats.warmup_costs.accesses + costs.accesses;
     let secs = wall.as_secs_f64();
     let rate = if secs > 0.0 {
@@ -498,13 +530,13 @@ pub fn simulate(raw: &[String]) -> Result<(), ArgError> {
     } else {
         0.0
     };
-    println!("rate:           {rate:.0} acc/s (warmup + measured)");
+    outln!("rate:           {rate:.0} acc/s (warmup + measured)");
     if let Some(obs) = &observer {
         // The observer sees warmup as well as measurement — useful for the
         // cold-start transient the Costs report excludes.
         if args.flag("observe") {
-            println!();
-            println!("{}", obs.with(|o| o.recorder.summary()));
+            outln!();
+            outln!("{}", obs.with(|o| o.recorder.summary()));
         }
         obs.with(|o| -> Result<(), ArgError> {
             if let Some(path) = args.get("metrics") {
@@ -533,7 +565,7 @@ pub fn simulate(raw: &[String]) -> Result<(), ArgError> {
                         write_text(path, &w.to_csv())?;
                         eprintln!("window csv: {path} ({} windows)", w.all_rows().len());
                     }
-                    None => print!("\n{}", w.to_csv()),
+                    None => out!("\n{}", w.to_csv()),
                 }
             }
             Ok(())
@@ -579,7 +611,7 @@ struct SweepRow {
 /// only need stage counters, not the per-page reuse map.
 pub fn sweep_cmd(raw: &[String]) -> Result<(), ArgError> {
     let args = Args::parse(raw, &[])?;
-    check_opts(&args, &["threads", "metrics", "format"])?;
+    check_workload_opts(&args, &["threads", "metrics", "format"])?;
     let c = common(&args)?;
     let threads = args.u64_or("threads", 0)? as usize;
     let format = export_format(&args)?;
@@ -623,13 +655,13 @@ pub fn sweep_cmd(raw: &[String]) -> Result<(), ArgError> {
     eprintln!();
 
     let rows: Vec<SweepRow> = results.into_iter().collect::<Result<_, _>>()?;
-    println!("h\tios\ttlb_misses\ttotal(ε={})", c.model.epsilon);
+    outln!("h\tios\ttlb_misses\ttotal(ε={})", c.model.epsilon);
     for row in &rows {
         let label = match row.h {
             Some(h) => h.to_string(),
             None => "Z".to_string(),
         };
-        println!(
+        outln!(
             "{label}\t{}\t{}\t{:.1}",
             row.costs.ios,
             row.costs.tlb_misses,
@@ -817,7 +849,7 @@ pub fn tenants_cmd(raw: &[String]) -> Result<(), ArgError> {
     let format = export_format(&args)?;
 
     let mut rows = Vec::new();
-    println!("tenants\tskew\taccesses\tios\ttlb_misses\tswitches\tretired\tshootdowns\tseen");
+    outln!("tenants\tskew\taccesses\tios\ttlb_misses\tswitches\tretired\tshootdowns\tseen");
     for &n in &tenant_counts {
         for &skew in &skews {
             let mix =
@@ -874,7 +906,7 @@ pub fn tenants_cmd(raw: &[String]) -> Result<(), ArgError> {
                     )))
                 }
             };
-            println!(
+            outln!(
                 "{n}\t{skew}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
                 stats.costs.accesses,
                 stats.costs.ios,
@@ -885,7 +917,7 @@ pub fn tenants_cmd(raw: &[String]) -> Result<(), ArgError> {
                 stats.tenants_seen()
             );
             for (asid, b) in &boundaries {
-                println!(
+                outln!(
                     "# phase: tenant {} window {} {} -> {} ppm",
                     asid.id(),
                     b.window,
@@ -1009,7 +1041,7 @@ const MAX_CORES: u64 = 256;
 /// every core, so the printed stage counters are machine-wide.
 pub fn multicore_cmd(raw: &[String]) -> Result<(), ArgError> {
     let args = Args::parse(raw, &[])?;
-    check_opts(&args, &["cores", "metrics", "format"])?;
+    check_workload_opts(&args, &["cores", "metrics", "format"])?;
     let c = common(&args)?;
     let cores = args.u64_or("cores", 4)?;
     if !(1..=MAX_CORES).contains(&cores) {
@@ -1040,20 +1072,24 @@ pub fn multicore_cmd(raw: &[String]) -> Result<(), ArgError> {
     let shared = SyncRecorder::without_reuse_tracking();
     let (result, _) = run_multicore_observed(&cfg, &traces, |_| shared.clone());
 
-    println!("core\taccesses\ttlb_misses\tios");
+    outln!("core\taccesses\ttlb_misses\tios");
     for (core, stats) in result.per_core.iter().enumerate() {
-        println!(
+        outln!(
             "{core}\t{}\t{}\t{}",
-            stats.costs.accesses, stats.costs.tlb_misses, stats.costs.ios
+            stats.costs.accesses,
+            stats.costs.tlb_misses,
+            stats.costs.ios
         );
     }
     let total = result.total_costs();
-    println!(
+    outln!(
         "total\t{}\t{}\t{}",
-        total.accesses, total.tlb_misses, total.ios
+        total.accesses,
+        total.tlb_misses,
+        total.ios
     );
-    println!("shootdown events:        {}", result.shootdown_events);
-    println!(
+    outln!("shootdown events:        {}", result.shootdown_events);
+    outln!(
         "shootdown invalidations: {}",
         result.shootdown_invalidations
     );
@@ -1091,7 +1127,7 @@ pub fn trace_cmd(raw: &[String]) -> Result<(), ArgError> {
     match sub.as_str() {
         "record" => {
             let args = Args::parse(rest, &[])?;
-            check_opts(&args, &["out"])?;
+            check_workload_opts(&args, &["out"])?;
             let c = common(&args)?;
             let out = args
                 .get("out")
@@ -1101,7 +1137,7 @@ pub fn trace_cmd(raw: &[String]) -> Result<(), ArgError> {
                 .collect();
             write_trace(Path::new(out), &pages)
                 .map_err(|e| ArgError(format!("write failed: {e}")))?;
-            println!("wrote {} accesses to {out}", pages.len());
+            outln!("wrote {} accesses to {out}", pages.len());
             Ok(())
         }
         "stats" => {
@@ -1113,12 +1149,12 @@ pub fn trace_cmd(raw: &[String]) -> Result<(), ArgError> {
             let pages =
                 read_trace(Path::new(file)).map_err(|e| ArgError(format!("read failed: {e}")))?;
             let s = TraceStats::compute(&pages);
-            println!("accesses:      {}", s.length);
-            println!("unique pages:  {}", s.unique_pages);
-            println!("page range:    {}..={}", s.min_page, s.max_page);
-            println!("same-page rate:{:.4}", s.same_page_rate);
-            println!("adjacent rate: {:.4}", s.adjacent_rate);
-            println!("mean reuse:    {:.2}", s.mean_reuse);
+            outln!("accesses:      {}", s.length);
+            outln!("unique pages:  {}", s.unique_pages);
+            outln!("page range:    {}..={}", s.min_page, s.max_page);
+            outln!("same-page rate:{:.4}", s.same_page_rate);
+            outln!("adjacent rate: {:.4}", s.adjacent_rate);
+            outln!("mean reuse:    {:.2}", s.mean_reuse);
             Ok(())
         }
         "mrc" => {
@@ -1139,11 +1175,11 @@ pub fn trace_cmd(raw: &[String]) -> Result<(), ArgError> {
             };
             let max_cap = caps.iter().copied().max().unwrap_or(1024);
             let prof = ReuseProfile::compute(&pages, max_cap);
-            println!("capacity\tlru_misses\tmiss_ratio");
+            outln!("capacity\tlru_misses\tmiss_ratio");
             for (c, ratio) in prof.curve(&caps) {
-                println!("{c}\t{}\t{ratio:.4}", prof.lru_misses(c));
+                outln!("{c}\t{}\t{ratio:.4}", prof.lru_misses(c));
             }
-            println!("# cold misses: {}", prof.cold_misses);
+            outln!("# cold misses: {}", prof.cold_misses);
             Ok(())
         }
         other => Err(ArgError(format!("unknown trace subcommand {other:?}"))),
@@ -1189,12 +1225,12 @@ pub fn bench_cmd(raw: &[String]) -> Result<(), ArgError> {
             let old = read(args.positional(0).unwrap_or_default())?;
             let new = read(args.positional(1).unwrap_or_default())?;
             let cmp = atp_bench::compare::compare(&old, &new);
-            print!("{}", atp_bench::compare::render(&cmp));
+            out!("{}", atp_bench::compare::render(&cmp));
             if let Some(max_drop) = drift {
                 let bad = atp_bench::compare::drift_failures(&cmp, max_drop);
                 if bad.is_empty() {
                     let gated = cmp.cells.iter().filter(|c| c.gated).count();
-                    println!(
+                    outln!(
                         "drift gate: {gated} gated cell(s) within {:.1}% of baseline",
                         max_drop * 100.0
                     );
@@ -1250,11 +1286,13 @@ pub fn calibrate(raw: &[String]) -> Result<(), ArgError> {
              a TLB miss must cost less than an IO"
         )));
     }
-    println!(
+    outln!(
         "walk: {} touches × {} ns; io: {} ns",
-        m.walk_touches, m.walk_touch_ns, m.io_ns
+        m.walk_touches,
+        m.walk_touch_ns,
+        m.io_ns
     );
-    println!("ε = {epsilon:.6}");
+    outln!("ε = {epsilon:.6}");
     Ok(())
 }
 
@@ -2249,5 +2287,37 @@ mod tests {
             "4",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn zipf_exponent_without_zipf_workload_exits_2() {
+        let err = simulate(&argv(&["--zipf-s", "0", "--accesses", "1k"])).unwrap_err();
+        assert!(err.0.contains("--workload zipf"), "{err}");
+        assert_eq!(crate::run(&argv(&["simulate", "--zipf-s", "0"])), 2);
+    }
+
+    #[test]
+    fn graph_scale_without_graph500_workload_exits_2() {
+        let err = simulate(&argv(&["--graph-scale", "3", "--accesses", "1k"])).unwrap_err();
+        assert!(err.0.contains("--workload graph500"), "{err}");
+        assert_eq!(crate::run(&argv(&["simulate", "--graph-scale", "3"])), 2);
+    }
+
+    #[test]
+    fn edge_factor_without_graph500_workload_exits_2() {
+        let a = ["simulate", "--workload", "zipf", "--edge-factor", "3"];
+        assert_eq!(crate::run(&argv(&a)), 2);
+        let a = ["sweep", "--edge-factor", "3", "--accesses", "1k"];
+        assert_eq!(crate::run(&argv(&a)), 2);
+    }
+
+    #[test]
+    fn workload_options_on_tenants_exit_2() {
+        let a = ["tenants", "--workload", "graph500", "--zipf-s", "3"];
+        assert_eq!(crate::run(&argv(&a)), 2);
+        let err = tenants_cmd(&argv(&["--workload", "graph500"])).unwrap_err();
+        assert!(err.0.contains("simulate, sweep, multicore"), "{err}");
+        let err = tenants_cmd(&argv(&["--zipf-s", "3"])).unwrap_err();
+        assert!(err.0.contains("--workload zipf"), "{err}");
     }
 }

@@ -24,10 +24,69 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// `print!` that hands a failed write back to the enclosing function as
+/// an [`ArgError`] (through `?`) instead of panicking; see
+/// [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` through [`write_stdout`], like [`out!`].
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 pub mod args;
 pub mod commands;
 
 pub use args::{ArgError, Args};
+
+/// The message of the error a write to a closed stdout becomes. [`run`]
+/// ends the command on it with exit 0 and nothing on stderr, which is what
+/// a reader that stops early (`atp help | head -1`) expects.
+const STDOUT_CLOSED: &str = "stdout is closed";
+
+/// Writes `args` to stdout. A closed stdout (`EPIPE`) becomes the
+/// [`STDOUT_CLOSED`] error and any other failed write an error naming it,
+/// where `print!` would panic. Unit tests print through `print!` so the
+/// test harness still captures what a command writes.
+pub(crate) fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), ArgError> {
+    #[cfg(test)]
+    {
+        print!("{args}");
+        Ok(())
+    }
+    #[cfg(not(test))]
+    {
+        use std::io::Write;
+        std::io::stdout()
+            .write_fmt(args)
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::BrokenPipe => ArgError(STDOUT_CLOSED.into()),
+                _ => ArgError(format!("write stdout: {e}")),
+            })
+    }
+}
+
+/// The exit code of a finished command: 0 on success or a closed stdout,
+/// otherwise 2 with the error on stderr.
+fn exit_code(result: Result<(), ArgError>) -> i32 {
+    match result {
+        Ok(()) => 0,
+        Err(e) if e.0 == STDOUT_CLOSED => 0,
+        Err(e) => {
+            eprintln!("error: {e}");
+            2
+        }
+    }
+}
 
 /// Entry point: dispatches `argv[1]` as a subcommand. Returns the process
 /// exit code.
@@ -46,8 +105,7 @@ pub fn run(argv: &[String]) -> i32 {
         "bench" => commands::bench_cmd,
         "calibrate" => commands::calibrate,
         "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            return 0;
+            return exit_code(write_stdout(format_args!("{}\n", commands::USAGE)))
         }
         other => {
             eprintln!("error: unknown subcommand {other:?}; try `atp help`");
@@ -57,14 +115,7 @@ pub fn run(argv: &[String]) -> i32 {
     // `--help` or `-h` anywhere after a subcommand asks for the usage;
     // nothing runs.
     if rest.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", commands::USAGE);
-        return 0;
+        return exit_code(write_stdout(format_args!("{}\n", commands::USAGE)));
     }
-    match subcommand(rest) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
+    exit_code(subcommand(rest))
 }

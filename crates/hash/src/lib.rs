@@ -16,7 +16,11 @@
 //!   that (e.g.) edge `j` of graph node `v` is a pure function of `(v, j)`,
 //! * [`flat::SlotIndex`] — a fixed-geometry open-addressing `hash → slot`
 //!   index with a precomputed-hash API and explicit bucket prefetch, the
-//!   probe structure under the batched translation engine.
+//!   probe structure under the batched translation engine,
+//! * [`last_touch::LastTouch`] — a page → last-touch-time map kept as an
+//!   array over a dense page prefix with a hash map for the pages above
+//!   it, the reuse tracking behind reuse-distance histograms, LRU
+//!   miss-ratio curves and OPT's next-use pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +28,7 @@
 pub mod counter;
 pub mod flat;
 pub mod fx;
+pub mod last_touch;
 pub mod mix;
 pub mod pagehash;
 pub mod xx;
@@ -31,6 +36,7 @@ pub mod xx;
 pub use counter::CounterRng;
 pub use flat::{fx_hash, SlotIndex, NO_SLOT};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use last_touch::LastTouch;
 pub use mix::{mix2, mix3, splitmix64};
 pub use pagehash::PageHasher;
 pub use xx::XxHash64;

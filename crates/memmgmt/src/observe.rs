@@ -13,7 +13,7 @@
 //! composed run observer the CLI attaches.
 
 use crate::traits::AccessReport;
-use atp_hash::FxHashMap;
+use atp_hash::LastTouch;
 use atp_types::VirtPage;
 
 /// An event at the TLB stage.
@@ -163,12 +163,20 @@ impl LatencyClass {
 
 /// Recording observer: per-stage counters plus reuse and latency
 /// histograms.
+///
+/// Reuse tracking keeps each page's last touch in an
+/// [`atp_hash::LastTouch`]: one array slot per page over a dense prefix of
+/// the page space, where a single address space lies, and a hash map for
+/// the pages above it, such as the tenants of an `a · vspan + v`
+/// embedding. Either part costs about 16 bytes per distinct page, so the
+/// recorder grows with the trace's footprint;
+/// [`Recorder::without_reuse_tracking`] keeps it constant-size.
 #[derive(Clone, Debug)]
 pub struct Recorder {
     counters: StageCounters,
     /// log₂-bucketed reuse distances (accesses since the same base page
     /// was last touched); bucket `i` counts distances in `[2^i, 2^{i+1})`.
-    reuse_hist: Vec<u64>,
+    reuse_hist: [u64; HIST_BUCKETS],
     /// First-ever touches (no reuse distance).
     cold_accesses: u64,
     /// Per-access latency-class counts, indexed by [`LatencyClass`].
@@ -176,7 +184,8 @@ pub struct Recorder {
     /// Whether `last_touch` is maintained (see
     /// [`Recorder::without_reuse_tracking`]).
     track_reuse: bool,
-    last_touch: FxHashMap<u64, u64>,
+    /// Clock of each page's last touch.
+    last_touch: LastTouch,
     clock: u64,
 }
 
@@ -190,11 +199,11 @@ impl Recorder {
     fn empty(track_reuse: bool) -> Self {
         Recorder {
             counters: StageCounters::default(),
-            reuse_hist: vec![0; HIST_BUCKETS],
+            reuse_hist: [0; HIST_BUCKETS],
             cold_accesses: 0,
             latency_hist: [0; 4],
             track_reuse,
-            last_touch: FxHashMap::default(),
+            last_touch: LastTouch::new(),
             clock: 0,
         }
     }
@@ -204,11 +213,11 @@ impl Recorder {
         Recorder::empty(true)
     }
 
-    /// Creates a recorder that skips the reuse-distance map entirely. The
-    /// per-page `last_touch` map otherwise grows with the trace footprint
-    /// (unbounded on large virtual spaces); without it the recorder is
-    /// constant-size, which is what sweeps and multicore runs want — they
-    /// only read the stage counters.
+    /// Creates a recorder that records no reuse distances and keeps no
+    /// last-touch table. The table otherwise grows with the trace
+    /// footprint, about 16 bytes per distinct page; without it the
+    /// recorder is constant-size, which is what sweeps and multicore runs
+    /// want — they only read the stage counters.
     pub fn without_reuse_tracking() -> Self {
         Recorder::empty(false)
     }
@@ -294,17 +303,13 @@ fn render_hist(hist: &[u64]) -> String {
 }
 
 impl Recorder {
-    /// Records the reuse distance of a touch of `v` at the current clock
-    /// (a no-op without reuse tracking).
+    /// Records the reuse distance of a touch of `v` at time `now`.
     #[inline]
-    fn note_reuse(&mut self, v: VirtPage) {
-        if !self.track_reuse {
-            return;
-        }
-        match self.last_touch.insert(v.0, self.clock) {
+    fn note_reuse(&mut self, v: VirtPage, now: u64) {
+        match self.last_touch.replace(v.0, now) {
             None => self.cold_accesses += 1,
             Some(prev) => {
-                let dist = self.clock - prev;
+                let dist = now - prev;
                 let bucket = (64 - dist.leading_zeros()).saturating_sub(1) as usize;
                 self.reuse_hist[bucket.min(HIST_BUCKETS - 1)] += 1;
             }
@@ -324,22 +329,26 @@ impl SimObserver for Recorder {
         if report.paging_failure {
             self.counters.paging_failures += 1;
         }
-        self.note_reuse(v);
+        if self.track_reuse {
+            self.note_reuse(v, self.clock);
+        }
         self.clock += 1;
     }
 
     /// Every page of the run is a free TLB and residency hit, so the
-    /// counters move by the run length at once; reuse distances still
-    /// take one map update per page, in order.
+    /// counters move by the run length at once; reuse distances take one
+    /// last-touch update per page, in order, at consecutive clocks.
     fn on_hit_run(&mut self, vs: &[VirtPage]) {
         let n = vs.len() as u64;
         self.counters.tlb_hits += n;
         self.counters.residency_hits += n;
         self.latency_hist[LatencyClass::Free.index()] += n;
-        for &v in vs {
-            self.note_reuse(v);
-            self.clock += 1;
+        if self.track_reuse {
+            for (now, &v) in (self.clock..).zip(vs) {
+                self.note_reuse(v, now);
+            }
         }
+        self.clock += n;
     }
 
     fn on_tlb_event(&mut self, event: TlbEvent) {
@@ -453,7 +462,7 @@ mod tests {
         assert_eq!(r.accesses(), 7, "clock still advances");
         assert_eq!(r.cold_accesses(), 0, "no first-touch tracking");
         assert!(r.reuse_histogram().iter().all(|&c| c == 0));
-        assert_eq!(r.last_touch.len(), 0, "map never populated");
+        assert!(r.last_touch.is_empty(), "last touches never recorded");
         assert_eq!(
             r.latency_class(LatencyClass::Free),
             7,

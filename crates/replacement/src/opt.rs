@@ -6,10 +6,11 @@
 //! RAM sub-problems to classic paging, so OPT bounds both).
 //!
 //! Implementation: one backward scan precomputes each position's next-use
-//! index; the forward simulation keeps residents in a max-heap by next use
-//! with lazy deletion. O(n log P) total.
+//! index, finding the nearest later occurrence of each item in an
+//! [`atp_hash::LastTouch`]; the forward simulation keeps residents in a
+//! max-heap by next use with lazy deletion. O(n log P) total.
 
-use atp_hash::FxHashMap;
+use atp_hash::{FxHashMap, LastTouch};
 use std::collections::BinaryHeap;
 
 /// Result of an offline OPT simulation.
@@ -31,12 +32,11 @@ pub fn opt_misses(trace: &[u64], capacity: usize) -> OptStats {
 
     // next_use[i] = next position after i where trace[i] recurs, or n (never).
     let mut next_use = vec![n; n];
-    let mut last_seen: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut last_seen = LastTouch::new();
     for i in (0..n).rev() {
-        if let Some(&j) = last_seen.get(&trace[i]) {
-            next_use[i] = j;
+        if let Some(j) = last_seen.replace(trace[i], i as u64) {
+            next_use[i] = j as usize;
         }
-        last_seen.insert(trace[i], i);
     }
 
     // resident: key -> current next-use; heap of (next_use, key) lazy-deleted.

@@ -9,9 +9,12 @@
 //! "slightly below" the touched set).
 //!
 //! Implementation: classic O(n log n) — a Fenwick tree counts "live" last
-//! positions above the previous occurrence of the page.
+//! positions above the previous occurrence of the page. That occurrence
+//! comes from an [`atp_hash::LastTouch`], one array slot per page where
+//! the trace's pages are dense and a hash map above them, so a single
+//! address space pays no hash per access.
 
-use atp_hash::FxHashMap;
+use atp_hash::LastTouch;
 use atp_types::VirtPage;
 
 /// A Fenwick (binary indexed) tree over positions.
@@ -79,14 +82,15 @@ impl ReuseProfile {
     pub fn compute(trace: &[VirtPage], max_distance: usize) -> Self {
         let n = trace.len();
         let mut fenwick = Fenwick::new(n);
-        let mut last_pos: FxHashMap<u64, usize> = FxHashMap::default();
+        let mut last_pos = LastTouch::new();
         let mut histogram = vec![0u64; max_distance + 1];
         let mut cold = 0u64;
 
         for (i, p) in trace.iter().enumerate() {
-            match last_pos.get(&p.0) {
+            match last_pos.replace(p.0, i as u64) {
                 None => cold += 1,
-                Some(&prev) => {
+                Some(prev) => {
+                    let prev = prev as usize;
                     // Distinct pages accessed strictly between prev and i =
                     // live markers in (prev, i).
                     let between =
@@ -98,7 +102,6 @@ impl ReuseProfile {
                 }
             }
             fenwick.add(i, 1);
-            last_pos.insert(p.0, i);
         }
 
         Self {

@@ -7,15 +7,19 @@
 //! If an *intentional* schema change breaks a golden, update the expected
 //! string here and bump the schema version in `atp::obs`.
 
+use atp::hash::XxHash64;
 use atp::memmgmt::classic::{ClassicConfig, ClassicStages};
+use atp::memmgmt::only::VirtualOnlyStages;
 use atp::memmgmt::{
     AccessReport, EvictionEvent, MemoryManager, Pipeline, Recorder, SimObserver, TlbEvent,
 };
 use atp::obs::json::parse;
 use atp::obs::{run_registry, EventLog, ExportFormat, RunObserver, Shared, Windowed};
 use atp::replacement::PolicyKind;
-use atp::types::{CostModel, VirtPage};
-use atp::workloads::Zipfian;
+use atp::sim::run;
+use atp::trace::ReuseProfile;
+use atp::types::{Asid, CostModel, TenantOp, VirtPage};
+use atp::workloads::{TenantMix, Zipfian};
 
 fn report(tlb_miss: bool, decode_miss: bool, ios: u64) -> AccessReport {
     AccessReport {
@@ -192,4 +196,147 @@ fn real_run_jsonl_lines_all_parse() {
         .map(|r| r.split(',').nth(2).unwrap().parse::<u64>().unwrap())
         .sum();
     assert_eq!(total, 20_000);
+}
+
+/// Accesses in each stream of the reuse goldens.
+const REUSE_ACCESSES: usize = 60_000;
+
+/// Private virtual pages per tenant in the flattened tenant stream.
+const TENANT_VSPAN: u64 = 1 << 16;
+
+/// The two streams the reuse goldens pin: a Zipf stream over a dense
+/// page range, and 64 Zipf-scheduled tenants flattened into one address
+/// space (tenant `a`'s page `v` at `a · 2^16 + v`, as atp-e2e flattens
+/// `tenants_churn`), whose pages lie far above their distinct count.
+fn reuse_streams() -> [(&'static str, Vec<VirtPage>); 2] {
+    let zipf = Zipfian::new(7, 1 << 16, 1.0).take(REUSE_ACCESSES).collect();
+    let mut tenants = Vec::with_capacity(REUSE_ACCESSES);
+    let mut current = Asid::SINGLE;
+    for op in TenantMix::new(7, 64, TENANT_VSPAN, 1.1, 1.01, 256, 0.05) {
+        if tenants.len() == REUSE_ACCESSES {
+            break;
+        }
+        match op {
+            TenantOp::Access(v) => {
+                tenants.push(VirtPage(u64::from(current.0) * TENANT_VSPAN + v.0));
+            }
+            TenantOp::Switch(to) => current = to,
+            TenantOp::Retire(_) => {}
+        }
+    }
+    [("zipf", zipf), ("tenants", tenants)]
+}
+
+/// The `atp_reuse_*` rows of the CSV metrics export of X run over
+/// `stream` by the batched driver at its default batch, with the
+/// recorder stack atp-e2e's `x_observed` cell attaches.
+fn x_reuse_rows(workload: &str, stream: &[VirtPage]) -> String {
+    let obs = Shared::new(RunObserver::new(Recorder::new()).with_window(1 << 12, 0.01));
+    let mut pipeline = Pipeline::with_observer(
+        VirtualOnlyStages::new(64, 128, PolicyKind::Lru, 11),
+        obs.clone(),
+    );
+    let half = stream.len() as u64 / 2;
+    let stats = run(&mut pipeline, stream.iter().copied(), half, half);
+    let csv = obs.with(|o| {
+        run_registry(
+            "x",
+            workload,
+            &stats.costs,
+            CostModel::new(0.01),
+            Some(&o.recorder),
+        )
+        .render(ExportFormat::Csv)
+    });
+    csv.lines()
+        .filter(|l| l.starts_with("atp_reuse_"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// `ReuseProfile::compute` over `stream`: cold misses, LRU misses at a
+/// ladder of capacities, and a digest of every histogram bucket.
+fn reuse_profile_summary(stream: &[VirtPage]) -> String {
+    let prof = ReuseProfile::compute(stream, 1 << 14);
+    let mut digest = XxHash64::with_seed(0);
+    for &c in &prof.histogram {
+        digest.update(&c.to_le_bytes());
+    }
+    let misses: Vec<String> = [1usize, 16, 256, 1024, 4096, 1 << 14]
+        .iter()
+        .map(|&c| format!("{c}:{}", prof.lru_misses(c)))
+        .collect();
+    format!(
+        "total={} cold={} lru_misses={} hist={:016x}",
+        prof.total,
+        prof.cold_misses,
+        misses.join(","),
+        digest.digest()
+    )
+}
+
+#[test]
+fn reuse_exports_golden() {
+    let [(zipf_name, zipf), (tenants_name, tenants)] = reuse_streams();
+    assert_eq!(
+        x_reuse_rows(zipf_name, &zipf),
+        "atp_reuse_cold,counter,manager=x;workload=zipf,value,15556\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^0,794\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^1,1257\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^2,2258\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^3,3178\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^4,3692\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^5,3575\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^6,3455\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^7,3505\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^8,3580\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^9,3351\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^10,3441\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^11,3444\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^12,3242\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^13,2858\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^14,2092\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,bucket_2^15,722\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,count,44444\n\
+         atp_reuse_distance,histogram,manager=x;workload=zipf,sum,163073417\n"
+    );
+    assert_eq!(
+        x_reuse_rows(tenants_name, &tenants),
+        "atp_reuse_cold,counter,manager=x;workload=tenants,value,30063\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^0,823\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^1,1351\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^2,2301\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^3,3222\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^4,3387\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^5,3158\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^6,2402\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^7,1289\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^8,434\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^9,1013\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^10,1174\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^11,2016\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^12,1951\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^13,2690\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^14,2079\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,bucket_2^15,647\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,count,29937\n\
+         atp_reuse_distance,histogram,manager=x;workload=tenants,sum,137645866\n"
+    );
+}
+
+#[test]
+fn reuse_profile_golden() {
+    let [(_, zipf), (_, tenants)] = reuse_streams();
+    assert_eq!(
+        reuse_profile_summary(&zipf),
+        "total=60000 cold=15556 \
+         lru_misses=1:59206,16:51862,256:36374,1024:28406,4096:20389,16384:15556 \
+         hist=f2fa6f816fa2689a"
+    );
+    assert_eq!(
+        reuse_profile_summary(&tenants),
+        "total=60000 cold=30063 \
+         lru_misses=1:59177,16:51676,256:41846,1024:39984,4096:36180,16384:30971 \
+         hist=ca9b9bfc2c14ebf2"
+    );
 }
